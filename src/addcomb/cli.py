@@ -415,6 +415,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="addcomb",
@@ -450,14 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="check one statement on every pair")
     common(p)
     p.add_argument("--statement", required=True)
-    p.add_argument("--max-size", type=int, default=None, help="cap |X| and |Y|")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--max-size", type=_positive_int, default=None, help="cap |X| and |Y|")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     p = sub.add_parser("transform", help="candidate-driven set transform and audit")
     common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--m", type=int, default=1, help="fold count for the X part")
+    p.add_argument("--m", type=_positive_int, default=1, help="fold count for the X part")
     p.add_argument("--z", type=int, default=None, help="candidate element (default: smallest)")
 
     p = sub.add_parser("localize", help="distinct representatives in the sum matrix")

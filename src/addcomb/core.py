@@ -80,7 +80,10 @@ class ExtendedNat:
         return self.value < other.value
 
     def __hash__(self):
-        return hash(("ExtendedNat", self.value))
+        # finite values equal their int, so they must hash like it
+        if self.value is None:
+            return hash(("ExtendedNat", None))
+        return hash(self.value)
 
     def _no_arithmetic(self, *_):
         raise TypeError("ExtendedNat supports ordering only, not arithmetic")

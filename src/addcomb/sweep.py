@@ -1,11 +1,15 @@
 """Exhaustive verification sweeps over all subset pairs of a small carrier.
 
-For a carrier of order n <= 16 the engine is vectorized: for each X it
-computes |X + Y| for every Y at once with a subset-union dynamic program
-(numpy), then evaluates the chosen statement's right side and hypothesis
-gates from per-mask precomputed tables.  Carriers above 16 elements require
-a size cap and fall back to the scalar verifiers over the capped subset
-lists.
+For a carrier of order n <= 16 the engine is vectorized: it evaluates a
+block of max(1, 2^16 >> n) X rows against all 2^n Y masks at once.  |X + Y|
+is the uint8 bit count of the outer OR of two subset-OR tables, over the low
+n // 2 and the high elements of Y; each element's tables are built once, and
+a block ORs together those of each X's elements.  Each statement is a row
+and a column gate and a row and a column bound u, v, all per-mask features
+built once.  rhs = min(max(u[X], v[Y]), |X| + |Y| - 1) is compared in uint8
+with the bounds clipped to n + 1, exact since |X + Y| <= n; witnesses carry
+the unclipped value.  Carriers above 16 elements require a size cap and
+fall back to the scalar verifiers over the capped subset lists.
 
 Determinism contract: the X-mask space is split into fixed-size chunks
 (CHUNK masks each, independent of the worker count), chunks are evaluated
@@ -37,12 +41,15 @@ from .core import (
 )
 from .errors import CarrierTooLarge, NotGroup
 from .setops import span_is_commutative
-from .theorems import is_standard_cyclic, normalize_statement, run_statement, statement_info
+from .theorems import (
+    _is_prime, is_standard_cyclic, normalize_statement, run_statement, statement_info,
+)
 
 CHUNK = 512
 VECTOR_LIMIT = 16
 _INF = 1 << 30  # exceeds every finite bound on carriers of order <= 64
 _MAX_RECORDED = 64
+_BLOCK_PAIRS = 1 << 16  # pairs per kernel block; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -120,72 +127,90 @@ class _Partial:
         self.first_tight = None
 
 
-def _sentinel(value) -> int:
-    return value.value if value.is_finite else _INF
-
-
-def _rhs_json(r: int) -> int | str:
-    return "infinity" if r >= _INF else int(r)
-
-
-def _reshape_or(dest: np.ndarray, j: int, value: int):
-    """dest[m] |= value for every mask m with bit j set."""
-    dest.reshape(-1, 2 << j)[:, (1 << j):] |= value
-
-
 class _VectorContext:
     """Per-worker precomputed tables for a vectorized sweep (n <= 16)."""
 
     def __init__(self, A: FiniteSemigroup, statement: str, max_size: int | None):
         self.A = A
-        self.statement = statement
         n = A.n
         self.n = n
         size = 1 << n
         self.size = size
+        self.block = max(1, _BLOCK_PAIRS >> n)
 
-        pc = np.zeros(size, dtype=np.int64)
-        for j in range(n):
-            pc.reshape(-1, 2 << j)[:, (1 << j):] += 1
+        pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
         self.pc = pc
         ok = pc >= 1
         if max_size is not None:
             ok &= pc <= max_size
-        self.size_ok = ok
         self.n_considered = int(np.count_nonzero(ok))
         self.x_masks = [int(m) for m in np.nonzero(ok)[0]]
+        # |Y| - 1 on the sizes swept; other columns get a value that puts
+        # |X| + |Y| - 1 above every cap_limit
+        self.ycap = np.where(ok, pc - 1, 2 * n).astype(np.uint8)
 
-        # M[x, j] = bit mask of the single element x + j.
-        self.M = np.array(
+        # M[x, j] = bit mask of the single element x + j.  OR distributes
+        # over the elements of X, so each element's subset-OR tables over
+        # the low and the high columns are built once here; a block ORs
+        # together the tables of each X's elements.
+        M = np.array(
             [[1 << A.table[x][j] for j in range(n)] for x in range(n)],
             dtype=np.uint32,
         )
-        self._f = np.zeros(size, dtype=np.uint32)
+        self.lo = _subset_or(M[:, : n // 2])
+        self.hi = _subset_or(M[:, n // 2 :])
 
-        self.cancellative = A.is_cancellative
-        self.group = A.is_group
-        self.p_const = _sentinel(p_constant(A))
-        self._all = np.ones(size, dtype=bool)
-        self._none = np.zeros(size, dtype=bool)
+        p = p_constant(A)
+        self.p_const = p.value if p.is_finite else _INF
+        gx, gy, self.u, self.v = (
+            np.broadcast_to(f, size) for f in self._features(statement)
+        )
+        # Kemperman-weak needs either gate, and |X| + |Y| - 1 <= p
+        either = statement == "Kemperman-weak"
+        self.cap_limit = min(self.p_const, 2 * n) if either else None
+        if not either:
+            gy = gy & ok
+        # pairs outside the hypotheses get rhs 255; every bound below is
+        # clipped to n + 1, which compares like any larger bound since
+        # lhs <= n
+        self.skip_x = np.where(gx, 0, 255).astype(np.uint8)
+        self.skip_y = np.where(gy, 0, 255).astype(np.uint8)
+        self.skip = np.bitwise_and if either else np.bitwise_or
+        self.u8 = np.minimum(self.u, n + 1).astype(np.uint8)
+        self.v8 = np.minimum(self.v, n + 1).astype(np.uint8)
 
-        self.span_comm = None
-        self.omega_arr = None
-        if statement in ("Thm2.2", "Cor2.4", "Cor2.7", "Kemperman-weak"):
-            self.span_comm = self._span_comm_table()
-        if statement in ("Thm2.2", "Cor2.4", "Cor2.7"):
-            self.omega_arr = self._omega_table()
-        if statement == "Chowla":
-            elem_ok = [y == 0 or math.gcd(n, y) == 1 for y in range(n)]
-            co = np.ones(size, dtype=bool)
-            for j in range(n):
-                if not elem_ok[j]:
-                    co.reshape(-1, 2 << j)[:, (1 << j):] = False
-            self.coprime_ok = co
-            self.zero_in = (np.arange(size) & 1).astype(bool)
-        if statement == "Pillai":
-            self.pillai_arr = self._delta_table(pillai_delta)
-        if statement == "Cor2.9":
-            self.delta_arr = self._delta_table(delta)
+    def _features(self, s: str):
+        """Statement s as a row gate, a column gate, a row bound u and a
+        column bound v, each an array over all masks or a scalar, so that
+        rhs(X, Y) = min(max(u[X], v[Y]), |X| + |Y| - 1)."""
+        n = self.n
+        canc = self.A.is_cancellative
+        if s == "CD-1813":
+            g = self.A.is_group and _is_prime(n)
+            return g, g, n, n
+        if s == "HK":
+            return True, True, self.p_const, self.p_const
+        if s == "Chowla":
+            # Y holds 0 and otherwise only units of Z_n
+            other = sum(1 << y for y in range(1, n) if math.gcd(n, y) != 1)
+            masks = np.arange(self.size)
+            return True, (masks & 1 == 1) & (masks & other == 0), n, n
+        if s == "Pillai":
+            return True, True, 0, n // self._delta_table(pillai_delta)
+        if s == "Cor2.9":
+            nd = n // self._delta_table(delta)
+            return True, True, nd, nd
+        sc = self._span_comm_table() & canc
+        if s == "Kemperman-weak":
+            return sc, sc, _INF, _INF
+        omega = self._omega_table()
+        if s == "Thm2.2":
+            return canc, sc, 0, omega
+        if s == "Cor2.4":
+            return sc, True, omega, 0
+        if s == "Cor2.7":
+            return sc, sc, omega, omega
+        raise ValueError("unknown statement %r" % s)  # pragma: no cover
 
     def _span_comm_table(self) -> np.ndarray:
         size = self.size
@@ -226,102 +251,74 @@ class _VectorContext:
             out[m] = fn(self.n, ElementSet(self.n, m))
         return out
 
-    def lhs_row(self, xmask: int) -> np.ndarray:
-        """|X + Y| for every Y mask, as an int64 vector of length 2^n."""
-        r = np.bitwise_or.reduce(self.M[list(iter_bits(xmask))], axis=0)
-        f = self._f
-        f.fill(0)
-        for j in range(self.n):
-            _reshape_or(f, j, r[j])
-        return self.pc[f]
-
-    def row(self, xmask: int):
-        """(applicable, rhs) vectors over all Y masks for this X."""
-        kx = int(self.pc[xmask])
-        cap = kx + self.pc - 1
-        s = self.statement
-        if s == "CD-1813":
-            app = self._all if (self.group and _is_prime(self.n)) else self._none
-            rhs = np.minimum(self.n, cap)
-        elif s == "Thm2.2":
-            app = self.span_comm if self.cancellative else self._none
-            rhs = np.minimum(self.omega_arr, cap)
-        elif s == "Cor2.4":
-            ok = self.cancellative and bool(self.span_comm[xmask])
-            app = self._all if ok else self._none
-            rhs = np.minimum(int(self.omega_arr[xmask]), cap)
-        elif s == "Cor2.7":
-            if self.cancellative and bool(self.span_comm[xmask]):
-                app = self.span_comm
-            else:
-                app = self._none
-            rhs = np.minimum(np.maximum(int(self.omega_arr[xmask]), self.omega_arr), cap)
-        elif s == "Kemperman-weak":
-            if self.cancellative:
-                orders_ok = self.p_const >= cap
-                if bool(self.span_comm[xmask]):
-                    app = orders_ok
-                else:
-                    app = orders_ok & self.span_comm
-            else:
-                app = self._none
-            rhs = cap
-        elif s == "HK":
-            app = self._all
-            rhs = np.minimum(self.p_const, cap)
-        elif s == "Chowla":
-            app = self.zero_in & self.coprime_ok
-            rhs = np.minimum(self.n, cap)
-        elif s == "Pillai":
-            app = self._all
-            rhs = np.minimum(self.n // self.pillai_arr, cap)
-        elif s == "Cor2.9":
-            app = self._all
-            d = np.minimum(int(self.delta_arr[xmask]), self.delta_arr)
-            rhs = np.minimum(self.n // d, cap)
-        else:  # pragma: no cover - registry and dispatch are kept in sync
-            raise ValueError("unknown statement %r" % s)
-        return app, rhs
+    def _lhs(self, xs: np.ndarray) -> np.ndarray:
+        """|X + Y| as uint8, shape (len(xs), 2^n): row i is X = xs[i]."""
+        bits = ((xs[:, None] >> np.arange(self.n)) & 1 != 0)[:, :, None]
+        lo = np.bitwise_or.reduce(np.where(bits, self.lo, 0), axis=1)
+        hi = np.bitwise_or.reduce(np.where(bits, self.hi, 0), axis=1)
+        f = hi[:, :, None] | lo[:, None, :]
+        return np.bitwise_count(f).reshape(len(xs), -1)
 
     def eval_chunk(self, x_list) -> _Partial:
         part = _Partial()
-        n = self.n
-        for xmask in x_list:
-            lhs = self.lhs_row(xmask)
-            app, rhs = self.row(xmask)
-            app = app & self.size_ok
-            part.pairs += self.n_considered
-            n_app = int(np.count_nonzero(app))
-            part.applicable += n_app
-            viol = app & (lhs < rhs)
-            n_viol = int(np.count_nonzero(viol))
-            part.satisfied += n_app - n_viol
-            part.violation_count += n_viol
-            if n_viol:
-                xs = str(ElementSet(n, xmask))
-                for ymask in np.nonzero(viol)[0]:
-                    if len(part.violations) >= _MAX_RECORDED:
-                        break
-                    ymask = int(ymask)
-                    part.violations.append(
-                        Violation(
-                            x=xs,
-                            y=str(ElementSet(n, ymask)),
-                            lhs=int(lhs[ymask]),
-                            rhs=_rhs_json(int(rhs[ymask])),
-                        )
-                    )
-            tight = app & (lhs == rhs)
-            n_tight = int(np.count_nonzero(tight))
-            part.tight += n_tight
-            if n_tight and part.first_tight is None:
-                ymask = int(np.argmax(tight))
-                part.first_tight = TightPair(
-                    x=str(ElementSet(n, xmask)),
-                    y=str(ElementSet(n, ymask)),
-                    value=int(lhs[ymask]),
-                )
+        x_arr = np.asarray(x_list, dtype=np.int64)
+        for i in range(0, len(x_arr), self.block):
+            self._eval_block(x_arr[i : i + self.block], part)
         return part
+
+    def _eval_block(self, xs: np.ndarray, part: _Partial):
+        n, size, rows = self.n, self.size, len(xs)
+        lhs = self._lhs(xs)
+        cap = self.pc[xs][:, None] + self.ycap
+        # np.maximum is slow on a column broadcast, so spell u[X] out
+        rhs = np.repeat(self.u8[xs], size).reshape(rows, size)
+        np.maximum(rhs, self.v8, out=rhs)
+        np.minimum(rhs, cap, out=rhs)
+        rhs |= self.skip(self.skip_x[xs][:, None], self.skip_y)
+        if self.cap_limit is not None:
+            rhs[cap > self.cap_limit] = 255
+        outside = int(np.count_nonzero(rhs == 255))
+        below = lhs < rhs  # also true on every pair outside the hypotheses
+        n_viol = int(np.count_nonzero(below)) - outside
+        n_tight = int(np.count_nonzero(lhs == rhs))
+        n_app = rows * size - outside
+        part.pairs += rows * self.n_considered
+        part.applicable += n_app
+        part.satisfied += n_app - n_viol
+        part.violation_count += n_viol
+        part.tight += n_tight
+        if n_viol and len(part.violations) < _MAX_RECORDED:
+            below &= rhs != 255
+            # row-major order: X ascending, then Y ascending
+            for i, y in zip(*np.nonzero(below)):
+                if len(part.violations) >= _MAX_RECORDED:
+                    break
+                x, y = int(xs[i]), int(y)
+                bound = max(int(self.u[x]), int(self.v[y]))
+                part.violations.append(
+                    Violation(
+                        x=str(ElementSet(n, x)),
+                        y=str(ElementSet(n, y)),
+                        lhs=int(lhs[i, y]),
+                        rhs=min(bound, int(self.pc[x]) + int(self.pc[y]) - 1),
+                    )
+                )
+        if n_tight and part.first_tight is None:
+            i, y = divmod(int(np.argmax(lhs == rhs)), size)
+            part.first_tight = TightPair(
+                x=str(ElementSet(n, int(xs[i]))),
+                y=str(ElementSet(n, y)),
+                value=int(lhs[i, y]),
+            )
+
+
+def _subset_or(cols: np.ndarray) -> np.ndarray:
+    """t[:, s] = OR of cols[:, j] over the bits j of s, for every s."""
+    k = cols.shape[1]
+    t = np.zeros((len(cols), 1 << k), dtype=cols.dtype)
+    for j in range(k):
+        np.bitwise_or(t[:, : 1 << j], cols[:, j : j + 1], out=t[:, 1 << j : 2 << j])
+    return t
 
 
 class _ScalarContext:
@@ -379,17 +376,6 @@ def _capped_masks(n: int, max_size: int) -> list[int]:
             masks.append(m)
     masks.sort()
     return masks
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _build_context(payload):

@@ -83,6 +83,22 @@ def test_exit_usage(capsys):
         assert err.strip()
 
 
+def test_exit_usage_on_non_positive_counts(capsys):
+    sweep = ["sweep", "--semigroup", "cyclic:5", "--statement", "cd"]
+    cases = [
+        sweep + ["--max-size", "0"],
+        sweep + ["--jobs", "0"],
+        sweep + ["--jobs", "-3"],
+        sweep + ["--jobs", "two"],
+        ["transform", "--semigroup", "cyclic:5", "--x", "{0,1}", "--y", "{0}", "--m", "0"],
+    ]
+    for argv in cases:
+        report, code, out, err = run_capture(capsys, argv)
+        assert report is None and code == cli.EXIT_USAGE, argv
+        assert err.startswith("usage error:") and "positive integer" in err
+        assert len(err.strip().splitlines()) == 1 and not out
+
+
 def test_exit_precondition(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n0 0\n1 0\n")

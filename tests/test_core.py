@@ -44,6 +44,16 @@ def test_extended_nat_json_round_trip():
         assert ac.ExtendedNat.from_json(v.to_json()) == v
 
 
+def test_extended_nat_hash_agrees_with_eq():
+    assert 3 in {ac.ExtendedNat(3)}
+    assert ac.ExtendedNat(3) in {3}
+    assert {ac.ExtendedNat(0): "zero"}[0] == "zero"
+    assert hash(ac.ExtendedNat(12)) == hash(12)
+    assert ac.INFINITY in {ac.ExtendedNat(None)}
+    assert hash(ac.INFINITY) not in {hash(v) for v in range(-1, 1 << 16)}
+    assert len({ac.ExtendedNat(5), 5, ac.INFINITY}) == 2
+
+
 def test_extended_nat_validation_and_immutability():
     with pytest.raises(ValueError):
         ac.ExtendedNat(-1)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import addcomb as ac
 import addcomb.sweep  # noqa: F401 - loads the submodule
-from support import commutative_span_masks
+from support import commutative_span_masks, sumset_oracle
 
 # the package re-exports the sweep *function* under the same name, so reach
 # the submodule through sys.modules
@@ -137,6 +138,53 @@ def test_scalar_fallback_context_agrees(monkeypatch):
     scal = ac.sweep(A, "CD-1813", max_size=3)
     assert vec == scal
     assert vec.to_json_dict() == scal.to_json_dict()
+
+
+def test_block_boundaries_leave_the_summary_unchanged(monkeypatch):
+    A = ac.dihedral(5)  # 1023 X masks: blocks of 3 rows split both chunks
+    want = ac.sweep(A, "Thm2.2")
+    monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 << A.n)
+    assert sweep_mod._VectorContext(A, "Thm2.2", None).block == 3
+    got = ac.sweep(A, "Thm2.2")
+    assert got == want
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_violation_witnesses_match_brute_force(monkeypatch, block_rows):
+    # every statement is a theorem, so witnesses only appear under a false
+    # bound: raise omega(Y) to n + 3, past the n + 1 the kernel clips to
+    A = ac.cyclic(10)
+    n = A.n
+    false_omega = n + 3
+
+    def inflated_omega(ctx):
+        return np.full(ctx.size, false_omega, dtype=np.int64)
+
+    monkeypatch.setattr(sweep_mod._VectorContext, "_omega_table", inflated_omega)
+    if block_rows is not None:
+        monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", block_rows << n)
+
+    want = []
+    for xm in range(1, 1 << n):
+        xs = [i for i in range(n) if xm >> i & 1]
+        for ym in range(1, 1 << n):
+            ys = [i for i in range(n) if ym >> i & 1]
+            lhs = len(sumset_oracle(A, xs, ys))
+            rhs = min(false_omega, len(xs) + len(ys) - 1)
+            if lhs < rhs:
+                want.append((str(ac.ElementSet(n, xm)), str(ac.ElementSet(n, ym)), lhs, rhs))
+        if len(want) >= sweep_mod._MAX_RECORDED:
+            break
+    want = want[: sweep_mod._MAX_RECORDED]
+    assert any(rhs > n + 1 for *_, rhs in want)
+
+    summaries = [ac.sweep(A, "Thm2.2", jobs=jobs) for jobs in (1, 2)]
+    for s in summaries:
+        assert [(v.x, v.y, v.lhs, v.rhs) for v in s.violations] == want
+        assert s.violation_count > len(want)
+        assert s.satisfied + s.violation_count == s.applicable == s.pairs
+    assert summaries[0] == summaries[1]
 
 
 # ---------------------------------------------------------------------------
