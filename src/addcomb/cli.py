@@ -11,8 +11,8 @@ newline, wall-clock timing excluded - so identical inputs produce
 byte-identical machine output regardless of --jobs.
 
 Exit codes: 0 success (including "not applicable"), 1 usage error,
-2 precondition/validation failure, 3 a verified bound came back false
-(reserved for implementation bugs: it must never happen).
+2 precondition/validation failure, 3 a verified bound or a theorem guard
+came back false (reserved for implementation bugs: it must never happen).
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from .core import (
 from .errors import (
     AddcombError,
     ParseError,
-    PreconditionFailed,
+    TheoremViolated,
     UnknownSpec,
-    ValidationError,
 )
 from .localization import localize, sum_matrix
 from .setops import sumset
@@ -67,7 +66,10 @@ EXIT_VIOLATION = 3
 
 def parse_spec(text: str) -> FiniteSemigroup:
     """Resolve a spec string to a built (validated) semigroup."""
-    return _parse_spec(text.strip())
+    try:
+        return _parse_spec(text.strip())
+    except RecursionError:
+        raise ParseError("semigroup spec nested too deeply") from None
 
 
 def _parse_spec(text: str) -> FiniteSemigroup:
@@ -493,9 +495,9 @@ def run(argv) -> tuple[RunReport | None, int]:
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return (None, EXIT_USAGE)
-    except (ValidationError, PreconditionFailed) as exc:
+    except TheoremViolated as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return (None, EXIT_PRECONDITION)
+        return (None, EXIT_VIOLATION)
     except AddcombError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return (None, EXIT_PRECONDITION)

@@ -256,10 +256,7 @@ class FiniteSemigroup:
         n = len(table)
         if n == 0:
             raise ValidationError("empty carrier: a semigroup here has n >= 1")
-        if n > MAX_CARRIER:
-            raise CarrierTooLarge(
-                "carrier size %d exceeds the bit-vector limit %d" % (n, MAX_CARRIER)
-            )
+        _check_order(n)
         for a, row in enumerate(table):
             if len(row) != n:
                 raise ValidationError(
@@ -354,6 +351,14 @@ class FiniteSemigroup:
 
     def __repr__(self):
         return "<FiniteSemigroup %s (order %d)>" % (self.label, self.n)
+
+
+def _check_order(n: int) -> None:
+    """Refuse an oversized carrier before anything of size n is built."""
+    if n > MAX_CARRIER:
+        raise CarrierTooLarge(
+            "carrier size %d exceeds the bit-vector limit %d" % (n, MAX_CARRIER)
+        )
 
 
 def build_semigroup(table, label: str | None = None) -> FiniteSemigroup:
@@ -474,6 +479,7 @@ def cyclic(m: int) -> FiniteSemigroup:
     """The integers mod m under addition."""
     if m < 1:
         raise ValidationError("cyclic group needs m >= 1, got %d" % m)
+    _check_order(m)
     table = [[(a + b) % m for b in range(m)] for a in range(m)]
     return build_semigroup(table, label="cyclic:%d" % m)
 
@@ -491,6 +497,7 @@ def dihedral(k: int) -> FiniteSemigroup:
     if k < 1:
         raise ValidationError("dihedral group needs k >= 1, got %d" % k)
     n = 2 * k
+    _check_order(n)
     table = [[0] * n for _ in range(n)]
     for a in range(k):
         for b in range(k):
@@ -529,10 +536,7 @@ def quaternion8() -> FiniteSemigroup:
 def product(A: FiniteSemigroup, B: FiniteSemigroup) -> FiniteSemigroup:
     """Direct product with componentwise operation; index (a, b) -> a*|B| + b."""
     nA, nB = A.n, B.n
-    if nA * nB > MAX_CARRIER:
-        raise CarrierTooLarge(
-            "product order %d exceeds the carrier limit %d" % (nA * nB, MAX_CARRIER)
-        )
+    _check_order(nA * nB)
     table = [
         [
             A.table[a1][a2] * nB + B.table[b1][b2]
@@ -549,6 +553,7 @@ def leftzero(n: int) -> FiniteSemigroup:
     """Left-zero semigroup: a + b = a.  No identity for n >= 2."""
     if n < 1:
         raise ValidationError("left-zero semigroup needs n >= 1, got %d" % n)
+    _check_order(n)
     table = [[a] * n for a in range(n)]
     return build_semigroup(table, label="leftzero:%d" % n)
 
@@ -557,5 +562,6 @@ def maxchain(n: int) -> FiniteSemigroup:
     """The chain 0 < 1 < ... < n-1 under max: a commutative idempotent monoid."""
     if n < 1:
         raise ValidationError("max-chain monoid needs n >= 1, got %d" % n)
+    _check_order(n)
     table = [[max(a, b) for b in range(n)] for a in range(n)]
     return build_semigroup(table, label="maxchain:%d" % n)

@@ -85,5 +85,9 @@ class BadZ(PreconditionFailed):
         super().__init__(("valid_z",), message)
 
 
+class TheoremViolated(AddcombError):
+    """A guard that holds by a published theorem came back false: a bug."""
+
+
 class NoWitness(AddcombError):
     """Internal assertion: a witness guaranteed by theory was not found."""

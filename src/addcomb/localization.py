@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .constants import omega
 from .core import ElementSet, FiniteSemigroup, iter_bits
-from .errors import BadZ, EmptySet, PreconditionFailed
+from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
 from .setops import span_is_commutative, sumset
 
 HALL_EXHAUSTIVE_LIMIT = 20
@@ -128,12 +128,17 @@ def localize(
 
     rows = [sumset(A, ElementSet.of(n, x), Y).mask & ~Z.mask for x in xs]
     matched = _max_matching(rows, n)
-    assert all(e is not None for e in matched), (
-        "no system of distinct representatives despite hypotheses holding; "
-        "this contradicts the localization proposition"
-    )
+    if any(e is None for e in matched):
+        raise TheoremViolated(
+            "no system of distinct representatives despite hypotheses holding; "
+            "this contradicts the localization proposition"
+        )
     result = LocalizationResult(Z=Z, representatives=tuple(matched))
-    assert len(result.witness_set()) == len(xs) + len(ys) - 1
+    if len(result.witness_set()) != len(xs) + len(ys) - 1:
+        raise TheoremViolated(
+            "localized set has %d elements, expected k + l - 1 = %d"
+            % (len(result.witness_set()), len(xs) + len(ys) - 1)
+        )
     return result
 
 

@@ -1,15 +1,26 @@
 """Exhaustive verification sweeps over all subset pairs of a small carrier.
 
-For a carrier of order n <= 16 the engine is vectorized: it evaluates a
-block of max(1, 2^16 >> n) X rows against all 2^n Y masks at once.  |X + Y|
-is the uint8 bit count of the outer OR of two subset-OR tables, over the low
-n // 2 and the high elements of Y; each element's tables are built once, and
-a block ORs together those of each X's elements.  Each statement is a row
-and a column gate and a row and a column bound u, v, all per-mask features
-built once.  rhs = min(max(u[X], v[Y]), |X| + |Y| - 1) is compared in uint8
-with the bounds clipped to n + 1, exact since |X + Y| <= n; witnesses carry
-the unclipped value.  Carriers above 16 elements require a size cap and
-fall back to the scalar verifiers over the capped subset lists.
+One vectorized engine runs every sweep.  It evaluates a block of
+max(1, 2^16 // columns) X rows against all Y columns at once.  Each
+statement is a row and a column gate and a row and a column bound u, v, all
+per-column features built once.  rhs = min(max(u[X], v[Y]), |X| + |Y| - 1)
+is compared in uint8 with the bounds clipped to n + 1, exact since
+|X + Y| <= n; witnesses carry the unclipped value.
+
+|X + Y| takes one of two paths, chosen from the carrier order n and the
+size cap alone:
+
+- split tables, for every uncapped sweep (n <= 16) and for a capped sweep
+  on n <= 16 whose swept masks times the cap reach 2^n.  The columns are
+  all 2^n masks, and out-of-cap ones are gated out.  |X + Y| is the uint8
+  bit count of the outer OR of two subset-OR tables, over the low n // 2
+  and the high elements of Y; each element's tables are built once, and a
+  block ORs together those of each X's elements.
+- index matrices, for every other capped sweep, carriers of up to 64
+  elements included.  The columns are the swept masks, each also held as
+  a row of its element indices, padded with its first element.  For a
+  block of X, r[., y] = OR over x in X of the mask of x + y, and |X + Y| is
+  the bit count of the OR of r over the elements of Y, in uint64.
 
 Determinism contract: the X-mask space is split into fixed-size chunks
 (CHUNK masks each, independent of the worker count), chunks are evaluated
@@ -26,7 +37,6 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -41,9 +51,7 @@ from .core import (
 )
 from .errors import CarrierTooLarge, NotGroup
 from .setops import span_is_commutative
-from .theorems import (
-    _is_prime, is_standard_cyclic, normalize_statement, run_statement, statement_info,
-)
+from .theorems import _is_prime, is_standard_cyclic, normalize_statement, statement_info
 
 CHUNK = 512
 VECTOR_LIMIT = 16
@@ -57,7 +65,7 @@ class Violation:
     x: str
     y: str
     lhs: int
-    rhs: int | str
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -111,59 +119,74 @@ class SweepSummary:
         }
 
 
+@dataclass
 class _Partial:
     """Mergeable tallies for one chunk of X masks."""
 
-    __slots__ = ("pairs", "applicable", "satisfied", "violation_count",
-                 "violations", "tight", "first_tight")
-
-    def __init__(self):
-        self.pairs = 0
-        self.applicable = 0
-        self.satisfied = 0
-        self.violation_count = 0
-        self.violations = []
-        self.tight = 0
-        self.first_tight = None
+    pairs: int = 0
+    applicable: int = 0
+    satisfied: int = 0
+    violation_count: int = 0
+    violations: list[Violation] = field(default_factory=list)
+    tight: int = 0
+    first_tight: TightPair | None = None
 
 
-class _VectorContext:
-    """Per-worker precomputed tables for a vectorized sweep (n <= 16)."""
+class _SweepContext:
+    """Per-worker precomputed tables for one sweep.
+
+    The swept masks are the columns, in ascending order; on the split-table
+    path the columns are all 2^n masks instead, so that column c is mask c
+    and out-of-cap columns are gated out.  X rows are column positions."""
 
     def __init__(self, A: FiniteSemigroup, statement: str, max_size: int | None):
         self.A = A
         n = A.n
         self.n = n
-        size = 1 << n
-        self.size = size
-        self.block = max(1, _BLOCK_PAIRS >> n)
+        width = n if max_size is None else min(max_size, n)
+        self.n_considered = sum(math.comb(n, k) for k in range(1, width + 1))
+        # per row, the split tables cost 2^n columns, the index matrices
+        # n_considered columns times width gathers
+        self.split = max_size is None or (
+            n <= VECTOR_LIMIT and self.n_considered * width >= 1 << n
+        )
+        if self.split:
+            self.cols = np.arange(1 << n, dtype=np.uint64)
+        else:
+            self.cols = np.array(_capped_masks(n, width), dtype=np.uint64)
+        n_cols = len(self.cols)
+        self.block = max(1, _BLOCK_PAIRS // n_cols)
 
-        pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
+        pc = np.bitwise_count(self.cols)
         self.pc = pc
-        ok = pc >= 1
-        if max_size is not None:
-            ok &= pc <= max_size
-        self.n_considered = int(np.count_nonzero(ok))
-        self.x_masks = [int(m) for m in np.nonzero(ok)[0]]
+        ok = (pc >= 1) & (pc <= width)
+        self.rows = np.flatnonzero(ok).tolist()
         # |Y| - 1 on the sizes swept; other columns get a value that puts
         # |X| + |Y| - 1 above every cap_limit
         self.ycap = np.where(ok, pc - 1, 2 * n).astype(np.uint8)
 
-        # M[x, j] = bit mask of the single element x + j.  OR distributes
-        # over the elements of X, so each element's subset-OR tables over
-        # the low and the high columns are built once here; a block ORs
-        # together the tables of each X's elements.
-        M = np.array(
-            [[1 << A.table[x][j] for j in range(n)] for x in range(n)],
-            dtype=np.uint32,
-        )
-        self.lo = _subset_or(M[:, : n // 2])
-        self.hi = _subset_or(M[:, n // 2 :])
+        # M[x, j] = bit mask of the single element x + j
+        M = [[1 << A.table[x][j] for j in range(n)] for x in range(n)]
+        if self.split:
+            # OR distributes over the elements of X, so each element's
+            # subset-OR tables over the low and the high columns are built
+            # once here; a block ORs together the tables of its X's elements
+            M = np.array(M, dtype=np.uint32)
+            self.lo = _subset_or(M[:, : n // 2])
+            self.hi = _subset_or(M[:, n // 2 :])
+        else:
+            # element indices of each mask, padded with its first element
+            self.M = np.array(M, dtype=np.uint64)
+            idx = []
+            for m in map(int, self.cols):
+                e = list(iter_bits(m))
+                idx.append(e + e[:1] * (width - len(e)))
+            self.idx = np.array(idx, dtype=np.intp)
 
         p = p_constant(A)
         self.p_const = p.value if p.is_finite else _INF
         gx, gy, self.u, self.v = (
-            np.broadcast_to(f, size) for f in self._features(statement)
+            np.broadcast_to(f, n_cols) for f in self._features(statement)
         )
         # Kemperman-weak needs either gate, and |X| + |Y| - 1 <= p
         either = statement == "Kemperman-weak"
@@ -181,7 +204,7 @@ class _VectorContext:
 
     def _features(self, s: str):
         """Statement s as a row gate, a column gate, a row bound u and a
-        column bound v, each an array over all masks or a scalar, so that
+        column bound v, each an array over the columns or a scalar, so that
         rhs(X, Y) = min(max(u[X], v[Y]), |X| + |Y| - 1)."""
         n = self.n
         canc = self.A.is_cancellative
@@ -193,14 +216,16 @@ class _VectorContext:
         if s == "Chowla":
             # Y holds 0 and otherwise only units of Z_n
             other = sum(1 << y for y in range(1, n) if math.gcd(n, y) != 1)
-            masks = np.arange(self.size)
-            return True, (masks & 1 == 1) & (masks & other == 0), n, n
+            cols = self.cols
+            return True, (cols & 1 == 1) & (cols & other == 0), n, n
         if s == "Pillai":
-            return True, True, 0, n // self._delta_table(pillai_delta)
+            return True, True, 0, n // self._table(lambda S: pillai_delta(n, S), 1)
         if s == "Cor2.9":
-            nd = n // self._delta_table(delta)
+            nd = n // self._table(lambda S: delta(n, S), 1)
             return True, True, nd, nd
-        sc = self._span_comm_table() & canc
+        sc = canc
+        if not self.A.is_commutative:
+            sc &= self._table(lambda S: span_is_commutative(self.A, S), True)
         if s == "Kemperman-weak":
             return sc, sc, _INF, _INF
         omega = self._omega_table()
@@ -212,15 +237,6 @@ class _VectorContext:
             return sc, sc, omega, omega
         raise ValueError("unknown statement %r" % s)  # pragma: no cover
 
-    def _span_comm_table(self) -> np.ndarray:
-        size = self.size
-        out = np.ones(size, dtype=bool)
-        if self.A.is_commutative:
-            return out
-        for m in range(1, size):
-            out[m] = span_is_commutative(self.A, ElementSet(self.n, m))
-        return out
-
     def _omega_table(self) -> np.ndarray:
         A = self.A
         n = self.n
@@ -230,8 +246,8 @@ class _VectorContext:
             inv = A.inverse(z0)
             for z in range(n):
                 ordm[z][z0] = element_order(A, A.table[z][inv]).value
-        out = np.zeros(self.size, dtype=np.int64)
-        for m in range(1, self.size):
+        out = np.zeros(len(self.cols), dtype=np.int64)
+        for i, m in enumerate(map(int, self.cols)):
             best = 0
             um = m & units_mask
             for z0 in iter_bits(um):
@@ -242,22 +258,35 @@ class _VectorContext:
                 inner = min(ordm[z][z0] for z in iter_bits(rest))
                 if inner > best:
                     best = inner
-            out[m] = best
+            out[i] = best
         return out
 
-    def _delta_table(self, fn) -> np.ndarray:
-        out = np.ones(self.size, dtype=np.int64)
-        for m in range(1, self.size):
-            out[m] = fn(self.n, ElementSet(self.n, m))
+    def _table(self, fn, empty) -> np.ndarray:
+        """fn(S) on the set S of each column, and empty on the empty one."""
+        out = np.full(len(self.cols), empty)
+        for i, m in enumerate(map(int, self.cols)):
+            if m:
+                out[i] = fn(ElementSet(self.n, m))
         return out
 
     def _lhs(self, xs: np.ndarray) -> np.ndarray:
-        """|X + Y| as uint8, shape (len(xs), 2^n): row i is X = xs[i]."""
-        bits = ((xs[:, None] >> np.arange(self.n)) & 1 != 0)[:, :, None]
-        lo = np.bitwise_or.reduce(np.where(bits, self.lo, 0), axis=1)
-        hi = np.bitwise_or.reduce(np.where(bits, self.hi, 0), axis=1)
-        f = hi[:, :, None] | lo[:, None, :]
-        return np.bitwise_count(f).reshape(len(xs), -1)
+        """|X + Y| as uint8, shape (len(xs), len(cols)): row i is X at
+        column position xs[i]."""
+        if self.split:
+            bits = ((xs[:, None] >> np.arange(self.n)) & 1 != 0)[:, :, None]
+            lo = np.bitwise_or.reduce(np.where(bits, self.lo, 0), axis=1)
+            hi = np.bitwise_or.reduce(np.where(bits, self.hi, 0), axis=1)
+            f = hi[:, :, None] | lo[:, None, :]
+            return np.bitwise_count(f).reshape(len(xs), -1)
+        # r[i, y] = mask of X + y, then X + Y = OR of r over the elements y
+        xi = self.idx[xs]
+        r = self.M[xi[:, 0]]
+        for j in range(1, xi.shape[1]):
+            r |= self.M[xi[:, j]]
+        f = r[:, self.idx[:, 0]]
+        for j in range(1, self.idx.shape[1]):
+            f |= r[:, self.idx[:, j]]
+        return np.bitwise_count(f)
 
     def eval_chunk(self, x_list) -> _Partial:
         part = _Partial()
@@ -267,11 +296,11 @@ class _VectorContext:
         return part
 
     def _eval_block(self, xs: np.ndarray, part: _Partial):
-        n, size, rows = self.n, self.size, len(xs)
+        n_cols, rows = len(self.cols), len(xs)
         lhs = self._lhs(xs)
         cap = self.pc[xs][:, None] + self.ycap
         # np.maximum is slow on a column broadcast, so spell u[X] out
-        rhs = np.repeat(self.u8[xs], size).reshape(rows, size)
+        rhs = np.repeat(self.u8[xs], n_cols).reshape(rows, n_cols)
         np.maximum(rhs, self.v8, out=rhs)
         np.minimum(rhs, cap, out=rhs)
         rhs |= self.skip(self.skip_x[xs][:, None], self.skip_y)
@@ -281,7 +310,7 @@ class _VectorContext:
         below = lhs < rhs  # also true on every pair outside the hypotheses
         n_viol = int(np.count_nonzero(below)) - outside
         n_tight = int(np.count_nonzero(lhs == rhs))
-        n_app = rows * size - outside
+        n_app = rows * n_cols - outside
         part.pairs += rows * self.n_considered
         part.applicable += n_app
         part.satisfied += n_app - n_viol
@@ -297,19 +326,20 @@ class _VectorContext:
                 bound = max(int(self.u[x]), int(self.v[y]))
                 part.violations.append(
                     Violation(
-                        x=str(ElementSet(n, x)),
-                        y=str(ElementSet(n, y)),
+                        x=self._set(x),
+                        y=self._set(y),
                         lhs=int(lhs[i, y]),
                         rhs=min(bound, int(self.pc[x]) + int(self.pc[y]) - 1),
                     )
                 )
         if n_tight and part.first_tight is None:
-            i, y = divmod(int(np.argmax(lhs == rhs)), size)
+            i, y = divmod(int(np.argmax(lhs == rhs)), n_cols)
             part.first_tight = TightPair(
-                x=str(ElementSet(n, int(xs[i]))),
-                y=str(ElementSet(n, y)),
-                value=int(lhs[i, y]),
+                x=self._set(int(xs[i])), y=self._set(y), value=int(lhs[i, y])
             )
+
+    def _set(self, col: int) -> str:
+        return str(ElementSet(self.n, int(self.cols[col])))
 
 
 def _subset_or(cols: np.ndarray) -> np.ndarray:
@@ -321,69 +351,15 @@ def _subset_or(cols: np.ndarray) -> np.ndarray:
     return t
 
 
-class _ScalarContext:
-    """Fallback for carriers above the vectorization limit (requires a cap)."""
-
-    def __init__(self, A: FiniteSemigroup, statement: str, max_size: int):
-        self.A = A
-        self.statement = statement
-        self.x_masks = _capped_masks(A.n, max_size)
-        self.y_masks = self.x_masks
-        self.n_considered = len(self.y_masks)
-
-    def eval_chunk(self, x_list) -> _Partial:
-        part = _Partial()
-        A = self.A
-        n = A.n
-        for xmask in x_list:
-            X = ElementSet(n, xmask)
-            for ymask in self.y_masks:
-                Y = ElementSet(n, ymask)
-                rep = run_statement(A, self.statement, X, Y)
-                part.pairs += 1
-                if not rep.applicable:
-                    continue
-                part.applicable += 1
-                if rep.satisfied:
-                    part.satisfied += 1
-                else:
-                    part.violation_count += 1
-                    if len(part.violations) < _MAX_RECORDED:
-                        part.violations.append(
-                            Violation(
-                                x=str(X),
-                                y=str(Y),
-                                lhs=rep.lhs,
-                                rhs=rep.rhs.to_json(),
-                            )
-                        )
-                if rep.rhs == rep.lhs:
-                    part.tight += 1
-                    if part.first_tight is None:
-                        part.first_tight = TightPair(
-                            x=str(X), y=str(Y), value=rep.lhs
-                        )
-        return part
-
-
 def _capped_masks(n: int, max_size: int) -> list[int]:
-    masks = []
-    for k in range(1, min(max_size, n) + 1):
-        for bits in combinations(range(n), k):
-            m = 0
-            for b in bits:
-                m |= 1 << b
-            masks.append(m)
+    """Non-empty masks of at most max_size elements, ascending."""
+    layer, masks = [0], []
+    for _ in range(min(max_size, n)):
+        # each mask of the next size once: add a bit above the top one
+        layer = [m | 1 << b for m in layer for b in range(m.bit_length(), n)]
+        masks += layer
     masks.sort()
     return masks
-
-
-def _build_context(payload):
-    table, label, statement, max_size = payload
-    A = build_semigroup([list(row) for row in table], label=label)
-    if A.n <= VECTOR_LIMIT:
-        return _VectorContext(A, statement, max_size)
-    return _ScalarContext(A, statement, max_size)
 
 
 _WORKER_CTX = None
@@ -391,7 +367,9 @@ _WORKER_CTX = None
 
 def _worker_init(payload):
     global _WORKER_CTX
-    _WORKER_CTX = _build_context(payload)
+    table, label, statement, max_size = payload
+    A = build_semigroup([list(row) for row in table], label=label)
+    _WORKER_CTX = _SweepContext(A, statement, max_size)
 
 
 def _worker_run(x_list):
@@ -436,9 +414,11 @@ def sweep(
     """Run one statement over every pair of non-empty subsets of A.
 
     max_size caps |X| and |Y|; it is mandatory for carriers of order > 16.
-    jobs > 1 distributes fixed-size chunks of the X space over worker
-    processes; the summary is identical (byte-identical once serialized)
-    for every jobs value.
+    Uncapped sweeps, and capped ones on n <= 16 whose swept masks times the
+    cap reach 2^n, take the split-table |X + Y| path, the others the
+    index-matrix path (see the module docstring).  jobs > 1 distributes
+    fixed-size chunks of the X space over worker processes; the summary is
+    identical (byte-identical once serialized) for every jobs value.
     """
     started = time.monotonic()
     statement = normalize_statement(statement)
@@ -459,10 +439,8 @@ def sweep(
 
     label = A.label or ("order-%d" % A.n)
     payload = (tuple(tuple(row) for row in A.table), label, statement, max_size)
-    ctx = _build_context(payload)
-    chunks = [
-        ctx.x_masks[i : i + CHUNK] for i in range(0, len(ctx.x_masks), CHUNK)
-    ]
+    ctx = _SweepContext(A, statement, max_size)
+    chunks = [ctx.rows[i : i + CHUNK] for i in range(0, len(ctx.rows), CHUNK)]
 
     if jobs <= 1 or len(chunks) <= 1:
         parts = [ctx.eval_chunk(chunk) for chunk in chunks]

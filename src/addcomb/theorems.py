@@ -43,7 +43,7 @@ from .core import (
     product,
     quaternion8,
 )
-from .errors import EmptySet, NotGroup, ParseError
+from .errors import EmptySet, NotGroup, ParseError, TheoremViolated
 from .setops import span_is_commutative, sumset
 
 STATEMENTS = (
@@ -217,8 +217,8 @@ def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
     Chowla, Pillai, Cor2.9.
 
     Whenever the latter two are both applicable, the sharper one's right
-    side must dominate; that comparison is asserted here (it is a theorem)
-    and surfaced by the CLI.
+    side must dominate; that comparison is checked here (it is a theorem),
+    and TheoremViolated is raised if it fails.
     """
     A = _zmod(m)
     A.check_set(X)
@@ -245,10 +245,11 @@ def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
         lhs,
         ExtendedNat(min(m // min(delta(m, X), delta(m, Y)), size_cap)),
     )
-    assert sharper.rhs >= pillai.rhs, (
-        "min-max delta bound fell below the max-pairwise-gcd bound: %s < %s"
-        % (sharper.rhs, pillai.rhs)
-    )
+    if sharper.rhs < pillai.rhs:
+        raise TheoremViolated(
+            "min-max delta bound fell below the max-pairwise-gcd bound: %s < %s"
+            % (sharper.rhs, pillai.rhs)
+        )
     return [chowla, pillai, sharper]
 
 
@@ -268,8 +269,8 @@ def verify_hk(
     sharper = None
     if span_is_commutative(A, Y):
         sharper = verify_main(A, X, Y)
-        if sharper.applicable:
-            assert sharper.rhs >= hk.rhs, (
+        if sharper.applicable and sharper.rhs < hk.rhs:
+            raise TheoremViolated(
                 "omega-based right side fell below the p-constant right side"
             )
     return (hk, sharper)

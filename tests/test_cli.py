@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -133,6 +136,55 @@ def test_exit_violation_mapping(capsys, monkeypatch):
     )
     assert code == cli.EXIT_VIOLATION
     assert "VIOLATED" in out or "violation" in out
+
+
+def test_theorem_guard_survives_python_O():
+    # a false pillai_delta of 1 lifts the Pillai right side above the
+    # Cor2.9 one on {0,2} + {0,2} mod 4; the Cor2.9 report itself holds, so
+    # only the guard in verify_zmod can end the run with exit 3
+    boot = (
+        "import sys; import addcomb.theorems as t; "
+        "t.pillai_delta = lambda m, Y: 1; "
+        "from addcomb.cli import main; sys.exit(main())"
+    )
+    argv = ["verify", "--semigroup", "cyclic:4", "--x", "{0,2}", "--y", "{0,2}",
+            "--statement", "cor2.9"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", boot] + argv, capture_output=True, text=True
+    )
+    assert proc.returncode == cli.EXIT_VIOLATION, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:99999999", "dihedral:50000000",
+                                  "leftzero:99999999", "maxchain:99999999"])
+def test_oversized_carrier_refused_before_its_table_is_built(spec):
+    # the child may use 256 MB; a table of this order would need petabytes
+    proc = subprocess.run(
+        [sys.executable, "-m", "addcomb.cli", "sumset", "--semigroup", spec,
+         "--x", "{0}", "--y", "{0}"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_PRECONDITION, proc.stderr[-500:]
+    assert proc.stderr.startswith("error: carrier size ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_deeply_nested_product_spec_is_a_parse_error(capsys):
+    depth = 1200
+    spec = "product:(" * depth + "cyclic:1" + ",cyclic:1)" * depth
+    report, code, out, err = run_capture(
+        capsys, ["sumset", "--semigroup", spec, "--x", "{0}", "--y", "{0}"]
+    )
+    assert report is None and code == cli.EXIT_USAGE
+    assert err == "error: semigroup spec nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +379,30 @@ def test_render_bound_violated_text():
     )
     text = cli._render_bound(rep)
     assert text == "VIOLATED (lhs 1 < rhs 2)"
+
+
+# ---------------------------------------------------------------------------
+# Golden sweep reports
+# ---------------------------------------------------------------------------
+
+_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
+with open(_GOLDEN_PATH, encoding="utf-8") as _fh:
+    _GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(k for k in _GOLDEN if "--max-size" in k),
+    ids=lambda k: k.replace(" --max-size ", "-cap").replace(" ", "-"),
+)
+def test_capped_sweep_report_matches_golden_hash(key):
+    # the canonical --json report of each capped benchmark sweep is
+    # byte-identical to the one recorded in bench/golden.json
+    spec, statement, flag, cap = key.split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "addcomb.cli", "sweep", "--semigroup", spec,
+         "--statement", statement, flag, cap, "--json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _GOLDEN[key]["sha256"]

@@ -17,16 +17,24 @@ from support import commutative_span_masks, sumset_oracle
 sweep_mod = sys.modules["addcomb.sweep"]
 
 
-def _brute_summary(A, statement):
-    """Reference sweep over all non-empty pairs using the scalar verifiers."""
+def _swept_masks(n, max_size=None):
+    """Non-empty masks of at most max_size elements, ascending."""
+    cap = n if max_size is None else max_size
+    return [m for m in range(1, 1 << n) if m.bit_count() <= cap]
+
+
+def _brute_summary(A, statement, max_size=None):
+    """Reference sweep over all non-empty pairs within the size cap, using
+    the scalar verifiers."""
     statement = ac.normalize_statement(statement)
     n = A.n
+    masks = _swept_masks(n, max_size)
     pairs = applicable = satisfied = violations = tight = 0
     first_tight = None
     viol_list = []
-    for xm in range(1, 1 << n):
+    for xm in masks:
         X = ac.ElementSet(n, xm)
-        for ym in range(1, 1 << n):
+        for ym in masks:
             Y = ac.ElementSet(n, ym)
             rep = ac.run_statement(A, statement, X, Y)
             pairs += 1
@@ -130,45 +138,71 @@ def test_vectorized_matches_scalar_on_hk():
             assert got[key] == want[key], (A.label, key)
 
 
-def test_scalar_fallback_context_agrees(monkeypatch):
-    # force the scalar engine on a small carrier and compare whole summaries
-    A = ac.cyclic(5)
-    vec = ac.sweep(A, "CD-1813", max_size=3)
-    monkeypatch.setattr(sweep_mod, "VECTOR_LIMIT", 0)
-    scal = ac.sweep(A, "CD-1813", max_size=3)
-    assert vec == scal
-    assert vec.to_json_dict() == scal.to_json_dict()
+def _assert_capped_sweep_matches_scalar(A, statement, max_size):
+    """Returns whether the pair raised NotGroup (on both sides)."""
+    try:
+        want = _brute_summary(A, statement, max_size)
+    except ac.NotGroup:
+        with pytest.raises(ac.NotGroup):
+            ac.sweep(A, statement, max_size=max_size)
+        return True
+    got = _as_comparable(ac.sweep(A, statement, max_size=max_size))
+    for key in got:
+        assert got[key] == want[key], (A.label, statement, max_size, key)
+    return False
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3])
+def test_capped_sweeps_match_scalar_verifiers(max_size):
+    carriers = [ac.cyclic(5), ac.cyclic(6), ac.dihedral(3), ac.maxchain(3)]
+    mismatched = [
+        (A.label, statement)
+        for A in carriers
+        for statement in ac.STATEMENTS
+        if _assert_capped_sweep_matches_scalar(A, statement, max_size)
+    ]
+    # residue statements off the standard cyclic tables, HK off groups
+    assert len(mismatched) == 2 * 3 + 1
+    # both |X+Y| paths are taken: index matrices at cap 1, split tables on
+    # maxchain:3 only at cap 2, and on all four at cap 3
+    paths = {sweep_mod._SweepContext(A, "CD-1813", max_size).split for A in carriers}
+    assert paths == {1: {False}, 2: {False, True}, 3: {True}}[max_size]
+
+
+def test_capped_sweeps_above_16_elements_match_scalar_verifiers():
+    for A, statement in [
+        (ac.cyclic(17), "CD-1813"),
+        (ac.product(ac.cyclic(4), ac.cyclic(5)), "Thm2.2"),
+    ]:
+        assert not _assert_capped_sweep_matches_scalar(A, statement, 2)
 
 
 def test_block_boundaries_leave_the_summary_unchanged(monkeypatch):
     A = ac.dihedral(5)  # 1023 X masks: blocks of 3 rows split both chunks
     want = ac.sweep(A, "Thm2.2")
     monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 << A.n)
-    assert sweep_mod._VectorContext(A, "Thm2.2", None).block == 3
+    assert sweep_mod._SweepContext(A, "Thm2.2", None).block == 3
     got = ac.sweep(A, "Thm2.2")
     assert got == want
     assert got.to_json_dict() == want.to_json_dict()
 
 
-@pytest.mark.parametrize("block_rows", [None, 3])
-def test_violation_witnesses_match_brute_force(monkeypatch, block_rows):
+def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
     # every statement is a theorem, so witnesses only appear under a false
     # bound: raise omega(Y) to n + 3, past the n + 1 the kernel clips to
-    A = ac.cyclic(10)
     n = A.n
     false_omega = n + 3
 
     def inflated_omega(ctx):
-        return np.full(ctx.size, false_omega, dtype=np.int64)
+        return np.full(len(ctx.cols), false_omega, dtype=np.int64)
 
-    monkeypatch.setattr(sweep_mod._VectorContext, "_omega_table", inflated_omega)
-    if block_rows is not None:
-        monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", block_rows << n)
+    monkeypatch.setattr(sweep_mod._SweepContext, "_omega_table", inflated_omega)
 
+    masks = _swept_masks(n, max_size)
     want = []
-    for xm in range(1, 1 << n):
+    for xm in masks:
         xs = [i for i in range(n) if xm >> i & 1]
-        for ym in range(1, 1 << n):
+        for ym in masks:
             ys = [i for i in range(n) if ym >> i & 1]
             lhs = len(sumset_oracle(A, xs, ys))
             rhs = min(false_omega, len(xs) + len(ys) - 1)
@@ -177,14 +211,31 @@ def test_violation_witnesses_match_brute_force(monkeypatch, block_rows):
         if len(want) >= sweep_mod._MAX_RECORDED:
             break
     want = want[: sweep_mod._MAX_RECORDED]
-    assert any(rhs > n + 1 for *_, rhs in want)
+    assert len(want) == sweep_mod._MAX_RECORDED
 
-    summaries = [ac.sweep(A, "Thm2.2", jobs=jobs) for jobs in (1, 2)]
+    summaries = [ac.sweep(A, "Thm2.2", max_size=max_size, jobs=jobs) for jobs in (1, 2)]
     for s in summaries:
         assert [(v.x, v.y, v.lhs, v.rhs) for v in s.violations] == want
         assert s.violation_count > len(want)
         assert s.satisfied + s.violation_count == s.applicable == s.pairs
     assert summaries[0] == summaries[1]
+    return want
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_violation_witnesses_match_brute_force(monkeypatch, block_rows):
+    A = ac.cyclic(10)
+    if block_rows is not None:
+        monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", block_rows << A.n)
+    want = _assert_witnesses_match_brute_force(monkeypatch, A)
+    assert any(rhs > A.n + 1 for *_, rhs in want)
+
+
+def test_capped_violation_witnesses_match_brute_force(monkeypatch):
+    # 1,350 swept masks of cyclic:20 in three chunks, on the index path
+    A = ac.cyclic(20)
+    assert not sweep_mod._SweepContext(A, "Thm2.2", 3).split
+    _assert_witnesses_match_brute_force(monkeypatch, A, max_size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +261,7 @@ def test_large_carrier_requires_cap():
     assert s.violation_count == 0
 
 
-def test_scalar_path_on_prime_carrier_above_vector_limit():
+def test_capped_sweep_on_prime_carrier_above_vector_limit():
     s = ac.sweep(ac.cyclic(17), "CD-1813", max_size=1)
     assert s.pairs == 289
     assert s.applicable == 289

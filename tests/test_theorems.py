@@ -235,3 +235,34 @@ def test_builtin_monoids_include_chains():
     labels = {m.label for m in monoids}
     assert "maxchain:8" in labels and "cyclic:8" in labels
     assert all(m.identity is not None for m in monoids)
+
+
+# ---------------------------------------------------------------------------
+# Theorem guards
+# ---------------------------------------------------------------------------
+
+
+def test_theorem_guards_raise_theorem_violated(monkeypatch):
+    import addcomb.localization as loc
+    import addcomb.theorems as th
+
+    with monkeypatch.context() as m:
+        # the Pillai right side may not exceed the sharper Cor2.9 one
+        m.setattr(th, "pillai_delta", lambda mod, Y: 1)
+        with pytest.raises(ac.TheoremViolated):
+            ac.verify_zmod(4, _s(4, 0, 2), _s(4, 0, 2))
+    with monkeypatch.context() as m:
+        # the omega-based right side may not fall below the p-constant one
+        m.setattr(th, "omega", lambda A, Y: ac.OmegaBreakdown(rows=(), overall=ac.ExtendedNat(0)))
+        with pytest.raises(ac.TheoremViolated):
+            ac.verify_hk(ac.cyclic(5), _s(5, 0, 1), _s(5, 0, 1))
+    with monkeypatch.context() as m:
+        # localization always finds a system of distinct representatives
+        m.setattr(loc, "_max_matching", lambda rows, n: [None] * len(rows))
+        with pytest.raises(ac.TheoremViolated):
+            ac.localize(ac.cyclic(7), _s(7, 0, 1), _s(7, 0, 1, 2))
+    with monkeypatch.context() as m:
+        # ... and its k + l - 1 elements are distinct
+        m.setattr(loc, "_max_matching", lambda rows, n: [0] * len(rows))
+        with pytest.raises(ac.TheoremViolated):
+            ac.localize(ac.cyclic(7), _s(7, 0, 1), _s(7, 0, 1, 2))
