@@ -7,6 +7,13 @@ per-column features built once.  rhs = min(max(u[X], v[Y]), |X| + |Y| - 1)
 is compared in uint8 with the bounds clipped to n + 1, exact since
 |X + Y| <= n; witnesses carry the unclipped value.
 
+Each column is also held as idx, a row of its element indices padded with
+its first element, which the features and both |X + Y| paths read.  The
+features are numpy reductions over idx: omega, delta, Pillai's delta and
+span commutativity (S commutes pairwise) are each an outer max, min or AND
+over z0 in S of an inner min, max or AND over z in S of an n x n matrix:
+ord(z - z0), gcd(n, z - z0) and whether z and z0 commute.
+
 |X + Y| takes one of two paths, chosen from the carrier order n and the
 size cap alone:
 
@@ -17,18 +24,27 @@ size cap alone:
   and the high elements of Y; each element's tables are built once, and a
   block ORs together those of each X's elements.
 - index matrices, for every other capped sweep, carriers of up to 64
-  elements included.  The columns are the swept masks, each also held as
-  a row of its element indices, padded with its first element.  For a
-  block of X, r[., y] = OR over x in X of the mask of x + y, and |X + Y| is
-  the bit count of the OR of r over the elements of Y, in uint64.
+  elements included.  The columns are the swept masks.  For a block of X,
+  r[., y] = OR over x in X of the mask of x + y, and |X + Y| is the bit
+  count of the OR of r over the elements of Y in idx, in uint64.
 
-Determinism contract: the X-mask space is split into fixed-size chunks
-(CHUNK masks each, independent of the worker count), chunks are evaluated
-in parallel, and partial results are merged in chunk order.  Enumeration
-within a chunk is ascending by bit pattern, so the summary - including the
-ordering of any violation witnesses - is byte-identical for any --jobs
-value.  Wall-clock time is carried on the side and never enters the
-machine-readable dictionary.
+Rows.  An X row whose gate is closed holds no applicable pair, so it is
+not evaluated (Kemperman-weak, which takes either gate, evaluates every
+row).  In a group, a left translate g + X has the same |X| and the same
+|X + Y| as X.  When the row gate and u are also equal on every
+left-translation orbit, which is checked on the built arrays g by g, only
+the least mask of each orbit is evaluated, and its counts are weighted by
+the orbit size.  first_tight does not change, since the first X with a
+tight pair is the least of its orbit; a reduced sweep that finds a
+violation is run again unreduced, so that the witness list is exact.
+
+Determinism contract: the evaluated X rows are split into fixed-size
+chunks (CHUNK rows each, independent of the worker count), chunks are
+evaluated in parallel, and partial results are merged in chunk order.
+Enumeration within a chunk is ascending by bit pattern, so the summary -
+including the ordering of any violation witnesses - is byte-identical for
+any --jobs value.  Wall-clock time is carried on the side and never enters
+the machine-readable dictionary.
 """
 
 from __future__ import annotations
@@ -40,17 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import delta, pillai_delta
-from .core import (
-    ElementSet,
-    FiniteSemigroup,
-    build_semigroup,
-    element_order,
-    iter_bits,
-    p_constant,
-)
+from .core import ElementSet, FiniteSemigroup, element_order, iter_bits, p_constant
 from .errors import CarrierTooLarge, NotGroup
-from .setops import span_is_commutative
 from .theorems import _is_prime, is_standard_cyclic, normalize_statement, statement_info
 
 CHUNK = 512
@@ -121,9 +128,8 @@ class SweepSummary:
 
 @dataclass
 class _Partial:
-    """Mergeable tallies for one chunk of X masks."""
+    """Mergeable tallies for one chunk of X rows."""
 
-    pairs: int = 0
     applicable: int = 0
     satisfied: int = 0
     violation_count: int = 0
@@ -133,11 +139,13 @@ class _Partial:
 
 
 class _SweepContext:
-    """Per-worker precomputed tables for one sweep.
+    """Precomputed tables for one sweep, shared with the worker processes.
 
     The swept masks are the columns, in ascending order; on the split-table
     path the columns are all 2^n masks instead, so that column c is mask c
-    and out-of-cap columns are gated out.  X rows are column positions."""
+    and out-of-cap columns are gated out.  X rows are column positions:
+    rows lists those a sweep evaluates, and weight, unless it is None,
+    holds the orbit size at the least row of each orbit and 0 elsewhere."""
 
     def __init__(self, A: FiniteSemigroup, statement: str, max_size: int | None):
         self.A = A
@@ -160,28 +168,21 @@ class _SweepContext:
         pc = np.bitwise_count(self.cols)
         self.pc = pc
         ok = (pc >= 1) & (pc <= width)
-        self.rows = np.flatnonzero(ok).tolist()
         # |Y| - 1 on the sizes swept; other columns get a value that puts
         # |X| + |Y| - 1 above every cap_limit
         self.ycap = np.where(ok, pc - 1, 2 * n).astype(np.uint8)
+        self.idx = _element_index(self.cols, width)
 
-        # M[x, j] = bit mask of the single element x + j
-        M = [[1 << A.table[x][j] for j in range(n)] for x in range(n)]
         if self.split:
             # OR distributes over the elements of X, so each element's
             # subset-OR tables over the low and the high columns are built
             # once here; a block ORs together the tables of its X's elements
-            M = np.array(M, dtype=np.uint32)
+            M = np.array(A._bit_table, dtype=np.uint32)
             self.lo = _subset_or(M[:, : n // 2])
             self.hi = _subset_or(M[:, n // 2 :])
         else:
-            # element indices of each mask, padded with its first element
-            self.M = np.array(M, dtype=np.uint64)
-            idx = []
-            for m in map(int, self.cols):
-                e = list(iter_bits(m))
-                idx.append(e + e[:1] * (width - len(e)))
-            self.idx = np.array(idx, dtype=np.intp)
+            # M[x, j] = bit mask of the single element x + j
+            self.M = np.array(A._bit_table, dtype=np.uint64)
 
         p = p_constant(A)
         self.p_const = p.value if p.is_finite else _INF
@@ -201,6 +202,8 @@ class _SweepContext:
         self.skip = np.bitwise_and if either else np.bitwise_or
         self.u8 = np.minimum(self.u, n + 1).astype(np.uint8)
         self.v8 = np.minimum(self.v, n + 1).astype(np.uint8)
+        self.rows = np.flatnonzero(ok if either else ok & gx)
+        self.weight = self._orbit_weights() if A.is_group else None
 
     def _features(self, s: str):
         """Statement s as a row gate, a column gate, a row bound u and a
@@ -219,13 +222,13 @@ class _SweepContext:
             cols = self.cols
             return True, (cols & 1 == 1) & (cols & other == 0), n, n
         if s == "Pillai":
-            return True, True, 0, n // self._table(lambda S: pillai_delta(n, S), 1)
+            return True, True, 0, n // self._gcd_table(np.maximum)
         if s == "Cor2.9":
-            nd = n // self._table(lambda S: delta(n, S), 1)
+            nd = n // self._gcd_table(np.minimum)
             return True, True, nd, nd
         sc = canc
         if not self.A.is_commutative:
-            sc &= self._table(lambda S: span_is_commutative(self.A, S), True)
+            sc &= self._commute_table()
         if s == "Kemperman-weak":
             return sc, sc, _INF, _INF
         omega = self._omega_table()
@@ -238,64 +241,93 @@ class _SweepContext:
         raise ValueError("unknown statement %r" % s)  # pragma: no cover
 
     def _omega_table(self) -> np.ndarray:
+        """omega of each column, _INF for a unit singleton."""
         A = self.A
-        n = self.n
-        units_mask = A.units.mask
-        ordm = [[0] * n for _ in range(n)]
-        for z0 in iter_bits(units_mask):
-            inv = A.inverse(z0)
-            for z in range(n):
-                ordm[z][z0] = element_order(A, A.table[z][inv]).value
-        out = np.zeros(len(self.cols), dtype=np.int64)
-        for i, m in enumerate(map(int, self.cols)):
-            best = 0
-            um = m & units_mask
-            for z0 in iter_bits(um):
-                rest = m ^ (1 << z0)
-                if rest == 0:
-                    best = _INF
-                    break
-                inner = min(ordm[z][z0] for z in iter_bits(rest))
-                if inner > best:
-                    best = inner
-            out[i] = best
+        t = np.array(A.table)
+        order = np.array([element_order(A, z).value for z in range(self.n)])
+        # ord(z - z0) for units z0, 255 (infinity) for z = z0; a column of
+        # zeros for each non-unit z0, which the outer max ignores
+        w = np.zeros((self.n, self.n), dtype=np.uint8)
+        for z0 in iter_bits(A.units.mask):
+            w[:, z0] = order[t[:, A.inverse(z0)]]
+            w[z0, z0] = 255
+        omega = self._reduce(w, np.minimum, np.maximum)
+        return np.where(omega == 255, _INF, omega.astype(np.int64))
+
+    def _gcd_table(self, outer) -> np.ndarray:
+        """delta (outer np.minimum) or Pillai's delta (np.maximum) of each
+        column, over Z_n."""
+        z = np.arange(self.n)
+        g = np.gcd(self.n, (z[:, None] - z) % self.n)
+        np.fill_diagonal(g, 1)  # z = z0, which max ignores
+        return self._reduce(g, np.maximum, outer)
+
+    def _commute_table(self) -> np.ndarray:
+        """Whether each column commutes pairwise, that is, whether its span
+        is commutative."""
+        t = np.array(self.A.table)
+        return self._reduce(t == t.T, np.minimum, np.minimum).astype(bool)
+
+    def _reduce(self, w: np.ndarray, inner, outer) -> np.ndarray:
+        """outer over z0 in S of (inner over z in S of w[z, z0]), as uint8,
+        for the set S of each column.  The padding repeats an element of S,
+        which min and max ignore."""
+        flat = w.astype(np.uint8).ravel()
+        idx = np.ascontiguousarray(self.idx.T)
+        at_row = idx.astype(np.uint16) * self.n
+        out = None
+        for z0 in idx:
+            acc = flat[at_row[0] + z0]
+            for z in at_row[1:]:
+                inner(acc, flat[z + z0], out=acc)
+            out = acc if out is None else outer(out, acc, out=out)
         return out
 
-    def _table(self, fn, empty) -> np.ndarray:
-        """fn(S) on the set S of each column, and empty on the empty one."""
-        out = np.full(len(self.cols), empty)
-        for i, m in enumerate(map(int, self.cols)):
-            if m:
-                out[i] = fn(ElementSet(self.n, m))
-        return out
+    def _orbit_weights(self) -> np.ndarray | None:
+        """The size of each left-translation orbit of rows at its least row,
+        0 elsewhere; None unless the row gate and bound are constant on
+        every orbit (|X| and |X + Y| are, in a group)."""
+        rows = self.rows
+        # a row's other inputs to the kernel: u8, or 255 on a closed gate
+        key = self.u8 | self.skip_x
+        least = rows.copy()
+        for g in range(self.n):
+            # t[i] = the column of g + (the mask of rows[i])
+            if self.split:
+                t = (self.hi[g][:, None] | self.lo[g]).ravel()[rows]
+            else:
+                m = np.bitwise_or.reduce(self.M[g][self.idx[rows]], axis=1)
+                t = np.searchsorted(self.cols, m)
+            if not (key[t] == key[rows]).all():
+                return None
+            np.minimum(least, t, out=least)
+        return np.bincount(least, minlength=len(self.cols))
 
     def _lhs(self, xs: np.ndarray) -> np.ndarray:
         """|X + Y| as uint8, shape (len(xs), len(cols)): row i is X at
         column position xs[i]."""
+        xi = self.idx[xs]
         if self.split:
-            bits = ((xs[:, None] >> np.arange(self.n)) & 1 != 0)[:, :, None]
-            lo = np.bitwise_or.reduce(np.where(bits, self.lo, 0), axis=1)
-            hi = np.bitwise_or.reduce(np.where(bits, self.hi, 0), axis=1)
+            lo = np.bitwise_or.reduce(self.lo[xi], axis=1)
+            hi = np.bitwise_or.reduce(self.hi[xi], axis=1)
             f = hi[:, :, None] | lo[:, None, :]
             return np.bitwise_count(f).reshape(len(xs), -1)
         # r[i, y] = mask of X + y, then X + Y = OR of r over the elements y
-        xi = self.idx[xs]
-        r = self.M[xi[:, 0]]
-        for j in range(1, xi.shape[1]):
-            r |= self.M[xi[:, j]]
+        r = np.bitwise_or.reduce(self.M[xi], axis=1)
         f = r[:, self.idx[:, 0]]
         for j in range(1, self.idx.shape[1]):
             f |= r[:, self.idx[:, j]]
         return np.bitwise_count(f)
 
-    def eval_chunk(self, x_list) -> _Partial:
+    def eval_chunk(self, xs: np.ndarray, w: np.ndarray) -> _Partial:
+        """Tallies of the rows xs, row xs[i] counted w[i] times."""
         part = _Partial()
-        x_arr = np.asarray(x_list, dtype=np.int64)
-        for i in range(0, len(x_arr), self.block):
-            self._eval_block(x_arr[i : i + self.block], part)
+        for i in range(0, len(xs), self.block):
+            b = slice(i, i + self.block)
+            self._eval_block(xs[b], w[b], part)
         return part
 
-    def _eval_block(self, xs: np.ndarray, part: _Partial):
+    def _eval_block(self, xs: np.ndarray, w: np.ndarray, part: _Partial):
         n_cols, rows = len(self.cols), len(xs)
         lhs = self._lhs(xs)
         cap = self.pc[xs][:, None] + self.ycap
@@ -306,12 +338,11 @@ class _SweepContext:
         rhs |= self.skip(self.skip_x[xs][:, None], self.skip_y)
         if self.cap_limit is not None:
             rhs[cap > self.cap_limit] = 255
-        outside = int(np.count_nonzero(rhs == 255))
+        outside = _count(rhs == 255, w)
         below = lhs < rhs  # also true on every pair outside the hypotheses
-        n_viol = int(np.count_nonzero(below)) - outside
-        n_tight = int(np.count_nonzero(lhs == rhs))
-        n_app = rows * n_cols - outside
-        part.pairs += rows * self.n_considered
+        n_viol = _count(below, w) - outside
+        n_tight = _count(lhs == rhs, w)
+        n_app = int(w.sum()) * n_cols - outside
         part.applicable += n_app
         part.satisfied += n_app - n_viol
         part.violation_count += n_viol
@@ -342,6 +373,14 @@ class _SweepContext:
         return str(ElementSet(self.n, int(self.cols[col])))
 
 
+def _count(a: np.ndarray, w: np.ndarray) -> int:
+    """Pairs where a holds, row i counted w[i] times: one count times the
+    weight when the rows share it, per-row counts otherwise."""
+    if (w == w[0]).all():
+        return int(w[0]) * int(np.count_nonzero(a))
+    return int(np.count_nonzero(a, axis=1) @ w)
+
+
 def _subset_or(cols: np.ndarray) -> np.ndarray:
     """t[:, s] = OR of cols[:, j] over the bits j of s, for every s."""
     k = cols.shape[1]
@@ -349,6 +388,19 @@ def _subset_or(cols: np.ndarray) -> np.ndarray:
     for j in range(k):
         np.bitwise_or(t[:, : 1 << j], cols[:, j : j + 1], out=t[:, 1 << j : 2 << j])
     return t
+
+
+def _element_index(masks: np.ndarray, width: int) -> np.ndarray:
+    """The element indices of each mask, ascending, padded to width with
+    its first element (0 for the empty mask), as uint8."""
+    rest = masks.copy()
+    idx = np.zeros((len(masks), width), dtype=np.uint8)
+    for j in range(width):
+        low = rest & (~rest + np.uint64(1))  # the lowest bit left
+        rest ^= low
+        e = np.bitwise_count(low - np.uint64(1))
+        idx[:, j] = np.where(low != 0, e, idx[:, 0])
+    return idx
 
 
 def _capped_masks(n: int, max_size: int) -> list[int]:
@@ -365,21 +417,31 @@ def _capped_masks(n: int, max_size: int) -> list[int]:
 _WORKER_CTX = None
 
 
-def _worker_init(payload):
+def _worker_run(xs, w):
+    return _WORKER_CTX.eval_chunk(xs, w)
+
+
+def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
+    """The tallies of rows, row i counted weight[i] times, one per chunk of
+    CHUNK rows, in chunk order."""
     global _WORKER_CTX
-    table, label, statement, max_size = payload
-    A = build_semigroup([list(row) for row in table], label=label)
-    _WORKER_CTX = _SweepContext(A, statement, max_size)
+    chunks = [
+        (rows[i : i + CHUNK], weight[i : i + CHUNK]) for i in range(0, len(rows), CHUNK)
+    ]
+    if jobs <= 1 or len(chunks) <= 1:
+        return [ctx.eval_chunk(xs, w) for xs, w in chunks]
+    # forked workers inherit the context built here
+    _WORKER_CTX = ctx
+    try:
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(chunks))) as pool:
+            return pool.starmap(_worker_run, chunks, chunksize=1)
+    finally:
+        _WORKER_CTX = None
 
 
-def _worker_run(x_list):
-    return _WORKER_CTX.eval_chunk(x_list)
-
-
-def _merge(parts, statement, label, n, max_size, elapsed) -> SweepSummary:
+def _merge(parts, statement, label, n, max_size, n_masks, elapsed) -> SweepSummary:
     total = _Partial()
     for part in parts:
-        total.pairs += part.pairs
         total.applicable += part.applicable
         total.satisfied += part.satisfied
         total.violation_count += part.violation_count
@@ -394,7 +456,7 @@ def _merge(parts, statement, label, n, max_size, elapsed) -> SweepSummary:
         semigroup=label,
         carrier_order=n,
         max_size=max_size,
-        pairs=total.pairs,
+        pairs=n_masks * n_masks,
         applicable=total.applicable,
         satisfied=total.satisfied,
         violation_count=total.violation_count,
@@ -438,20 +500,13 @@ def sweep(
         )
 
     label = A.label or ("order-%d" % A.n)
-    payload = (tuple(tuple(row) for row in A.table), label, statement, max_size)
     ctx = _SweepContext(A, statement, max_size)
-    chunks = [ctx.rows[i : i + CHUNK] for i in range(0, len(ctx.rows), CHUNK)]
-
-    if jobs <= 1 or len(chunks) <= 1:
-        parts = [ctx.eval_chunk(chunk) for chunk in chunks]
-    else:
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(
-            processes=min(jobs, len(chunks)),
-            initializer=_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            parts = pool.map(_worker_run, chunks, chunksize=1)
+    if ctx.weight is not None:
+        least = np.flatnonzero(ctx.weight)
+        parts = _evaluate(ctx, least, ctx.weight[least], jobs)
+    if ctx.weight is None or any(part.violation_count for part in parts):
+        # witnesses are listed X by X, so they come from every row
+        parts = _evaluate(ctx, ctx.rows, np.ones_like(ctx.rows), jobs)
 
     elapsed = time.monotonic() - started
-    return _merge(parts, statement, label, A.n, max_size, elapsed)
+    return _merge(parts, statement, label, A.n, max_size, ctx.n_considered, elapsed)

@@ -51,6 +51,42 @@ def test_parse_spec_errors():
             cli.parse_spec(bad)
 
 
+def test_parse_spec_nested_errors_name_the_inner_spec():
+    cases = [
+        ("product:(cyclic:2, product:(cyclic:3))", ac.ParseError,
+         "product spec 'product:(cyclic:3)' needs a top-level comma"),
+        ("product:(cyclic:2, )", ac.ParseError,
+         "product spec 'product:(cyclic:2, )' needs two components"),
+        ("product:(,cyclic:2)", ac.ParseError,
+         "product spec 'product:(,cyclic:2)' needs two components"),
+        ("product:(cyclic:2,product:cyclic:3)", ac.ParseError,
+         "product spec needs (left,right), got 'cyclic:3'"),
+        ("product:( cyclic:x ,cyclic:2)", ac.ParseError,
+         "expected an integer argument in 'cyclic:x', got 'x'"),
+        ("product:(cyclic:2,frob:3)", ac.UnknownSpec,
+         "unknown construction 'frob' in spec 'frob:3'"),
+        ("product:(cyclic:2,frob)", ac.UnknownSpec,
+         "unknown semigroup spec 'frob' (expected construction:arguments)"),
+        ("product:((cyclic:2),cyclic:3)", ac.UnknownSpec,
+         "unknown construction '(cyclic' in spec '(cyclic:2)'"),
+    ]
+    for spec, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            cli.parse_spec(spec)
+        assert str(exc.value) == message, spec
+    A = cli.parse_spec("  product : ( cyclic:2 , product:(cyclic:1,  cyclic:3 ) )  ")
+    assert A.n == 6 and A.label == "product:(cyclic:2,product:(cyclic:1,cyclic:3))"
+
+
+def test_parse_spec_deep_nesting_on_either_side():
+    depth = 400
+    left = "product:(" * depth + "cyclic:1" + ",cyclic:1)" * depth
+    right = "product:(cyclic:1," * depth + "cyclic:1" + ")" * depth
+    for spec in (left, right):
+        A = cli.parse_spec(spec)
+        assert A.n == 1 and A.label.count("product:") == depth
+
+
 def test_parse_spec_cayley(tmp_path):
     good = tmp_path / "z3.txt"
     good.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")

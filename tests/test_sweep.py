@@ -10,6 +10,7 @@ import pytest
 
 import addcomb as ac
 import addcomb.sweep  # noqa: F401 - loads the submodule
+from addcomb.theorems import is_standard_cyclic
 from support import commutative_span_masks, sumset_oracle
 
 # the package re-exports the sweep *function* under the same name, so reach
@@ -26,39 +27,50 @@ def _swept_masks(n, max_size=None):
 def _brute_summary(A, statement, max_size=None):
     """Reference sweep over all non-empty pairs within the size cap, using
     the scalar verifiers."""
+    return _brute_summaries(A, statement, [max_size])[max_size]
+
+
+def _brute_summaries(A, statement, caps):
+    """_brute_summary at each cap in caps, from one pass over the pairs."""
     statement = ac.normalize_statement(statement)
     n = A.n
-    masks = _swept_masks(n, max_size)
-    pairs = applicable = satisfied = violations = tight = 0
-    first_tight = None
-    viol_list = []
+    top = max(n if cap is None else cap for cap in caps)
+    masks = _swept_masks(n, top)
+    out = {
+        cap: {
+            "pairs": 0,
+            "applicable": 0,
+            "satisfied": 0,
+            "violations": 0,
+            "tight": 0,
+            "first_tight": None,
+            "viol_list": [],
+        }
+        for cap in caps
+    }
     for xm in masks:
         X = ac.ElementSet(n, xm)
         for ym in masks:
             Y = ac.ElementSet(n, ym)
             rep = ac.run_statement(A, statement, X, Y)
-            pairs += 1
-            if not rep.applicable:
-                continue
-            applicable += 1
-            if rep.satisfied:
-                satisfied += 1
-            else:
-                violations += 1
-                viol_list.append((str(X), str(Y)))
-            if rep.rhs == rep.lhs:
-                tight += 1
-                if first_tight is None:
-                    first_tight = (str(X), str(Y), rep.lhs)
-    return {
-        "pairs": pairs,
-        "applicable": applicable,
-        "satisfied": satisfied,
-        "violations": violations,
-        "tight": tight,
-        "first_tight": first_tight,
-        "viol_list": viol_list,
-    }
+            size = max(xm.bit_count(), ym.bit_count())
+            for cap, got in out.items():
+                if cap is not None and size > cap:
+                    continue
+                got["pairs"] += 1
+                if not rep.applicable:
+                    continue
+                got["applicable"] += 1
+                if rep.satisfied:
+                    got["satisfied"] += 1
+                else:
+                    got["violations"] += 1
+                    got["viol_list"].append((str(X), str(Y)))
+                if rep.rhs == rep.lhs:
+                    got["tight"] += 1
+                    if got["first_tight"] is None:
+                        got["first_tight"] = (str(X), str(Y), rep.lhs)
+    return out
 
 
 def _as_comparable(s: ac.SweepSummary):
@@ -178,7 +190,7 @@ def test_capped_sweeps_above_16_elements_match_scalar_verifiers():
 
 
 def test_block_boundaries_leave_the_summary_unchanged(monkeypatch):
-    A = ac.dihedral(5)  # 1023 X masks: blocks of 3 rows split both chunks
+    A = ac.dihedral(5)  # 3-row blocks of orbit rows, some of mixed weights
     want = ac.sweep(A, "Thm2.2")
     monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 << A.n)
     assert sweep_mod._SweepContext(A, "Thm2.2", None).block == 3
@@ -239,6 +251,130 @@ def test_capped_violation_witnesses_match_brute_force(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Feature tables and orbit reduction
+# ---------------------------------------------------------------------------
+
+
+def _assert_tables_match_scalar(A, max_size=None):
+    ctx = sweep_mod._SweepContext(A, "CD-1813", max_size)
+    omega = ctx._omega_table()
+    commute = ctx._commute_table()
+    cyclic = is_standard_cyclic(A)
+    if cyclic:
+        delta = ctx._gcd_table(np.minimum)
+        pillai = ctx._gcd_table(np.maximum)
+    for c, m in enumerate(ctx.cols.tolist()):
+        if m == 0:
+            continue
+        Z = ac.ElementSet(A.n, m)
+        want = ac.omega(A, Z).overall
+        want = want.value if want.is_finite else sweep_mod._INF
+        assert omega[c] == want, (A.label, m)
+        assert commute[c] == ac.span_is_commutative(A, Z), (A.label, m)
+        if cyclic:
+            assert delta[c] == ac.delta(A.n, Z), (A.label, m)
+            assert pillai[c] == ac.pillai_delta(A.n, Z), (A.label, m)
+    return ctx
+
+
+def test_feature_tables_match_scalar_constants():
+    carriers = [ac.cyclic(m) for m in range(1, 11)]
+    carriers += [ac.dihedral(k) for k in (3, 4, 5)]
+    carriers += [
+        ac.quaternion8(),
+        ac.product(ac.cyclic(2), ac.cyclic(4)),
+        ac.maxchain(4),
+        ac.leftzero(4),
+    ]
+    for A in carriers:
+        assert _assert_tables_match_scalar(A).split
+    # the index path: 1,350 capped masks of cyclic:20
+    assert not _assert_tables_match_scalar(ac.cyclic(20), 3).split
+
+
+_ORBIT_CARRIERS = {
+    "dihedral:3": lambda: ac.dihedral(3),
+    "dihedral:4": lambda: ac.dihedral(4),
+    "quaternion8": ac.quaternion8,
+    "product:(cyclic:2,cyclic:4)": lambda: ac.product(ac.cyclic(2), ac.cyclic(4)),
+    "cyclic:6": lambda: ac.cyclic(6),
+    "cyclic:7": lambda: ac.cyclic(7),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_ORBIT_CARRIERS))
+def test_orbit_reduced_sweeps_match_scalar_verifiers(spec):
+    A = _ORBIT_CARRIERS[spec]()
+    caps = [None, 1, 2, 3]
+    for statement in ac.STATEMENTS:
+        try:
+            want = _brute_summaries(A, statement, caps)
+        except ac.NotGroup:
+            with pytest.raises(ac.NotGroup):
+                ac.sweep(A, statement)
+            continue
+        for cap in caps:
+            got = _as_comparable(ac.sweep(A, statement, max_size=cap))
+            for key in got:
+                assert got[key] == want[cap][key], (spec, statement, cap, key)
+            reduced = sweep_mod._SweepContext(A, statement, cap).weight is not None
+            if statement in ("CD-1813", "Thm2.2", "HK", "Cor2.9"):
+                assert reduced, (spec, statement, cap)
+
+
+def test_orbit_reduction_applies_only_where_rows_are_invariant():
+    D4 = ac.dihedral(4)
+    ctx = sweep_mod._SweepContext(D4, "Thm2.2", None)
+    # 255 X masks of dihedral:4 in 42 orbits of left translates
+    assert ctx.weight.sum() == 255 and np.count_nonzero(ctx.weight) == 42
+    # "span(X) commutative" is not invariant under left translation
+    assert sweep_mod._SweepContext(D4, "Cor2.7", None).weight is None
+    # nor is anything on a carrier that is not a group
+    for statement in ac.STATEMENTS:
+        try:
+            ac.sweep(ac.maxchain(3), statement)
+        except ac.NotGroup:
+            continue
+        assert sweep_mod._SweepContext(ac.maxchain(3), statement, None).weight is None
+
+
+def test_witness_checks_reach_the_unreduced_rerun(monkeypatch):
+    """The witness tests above sweep under a false bound: the reduced pass
+    finds violations, and the witnesses come from the unreduced rerun."""
+    passes = []
+    real = sweep_mod._SweepContext.eval_chunk
+
+    def spy(ctx, xs, w):
+        passes.append(bool(w.max() > 1))
+        return real(ctx, xs, w)
+
+    monkeypatch.setattr(sweep_mod._SweepContext, "eval_chunk", spy)
+    for A, max_size in ((ac.cyclic(10), None), (ac.cyclic(20), 3)):
+        ctx = sweep_mod._SweepContext(A, "Thm2.2", max_size)
+        assert ctx.weight is not None
+        chunks = -(-len(ctx.rows) // sweep_mod.CHUNK)
+        passes.clear()
+        _assert_witnesses_match_brute_force(monkeypatch, A, max_size)
+        # each sweep first evaluates its orbit rows, one chunk in process,
+        # some weighted by more than 1; then jobs=1 reruns every chunk with
+        # weight 1 here, jobs=2 in workers
+        assert passes == [True] + [False] * chunks + [True]
+
+
+def test_reduced_sweep_over_several_chunks_is_identical_for_any_jobs(monkeypatch):
+    A = ac.cyclic(13)
+    want = ac.sweep(A, "CD-1813")
+    # 630 orbit rows of weight 13 and the full set of weight 1: uniform
+    # blocks of 40 rows and one mixed block, in chunks of 100
+    monkeypatch.setattr(sweep_mod, "CHUNK", 100)
+    monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 40 << A.n)
+    for jobs in (1, 2):
+        got = ac.sweep(A, "CD-1813", jobs=jobs)
+        assert got.to_json_dict() == want.to_json_dict()
+    assert want.pairs == want.applicable == 8191 * 8191
+
+
+# ---------------------------------------------------------------------------
 # Caps, gating, errors
 # ---------------------------------------------------------------------------
 
@@ -287,12 +423,15 @@ def test_sweep_statement_carrier_mismatch():
 
 def test_parallel_summary_identical_to_serial():
     A = ac.dihedral(5)  # 1023 X masks: two chunks
-    s1 = ac.sweep(A, "Thm2.2", jobs=1)
-    s4 = ac.sweep(A, "Thm2.2", jobs=4)
-    assert s1 == s4
-    b1 = json.dumps(s1.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    b4 = json.dumps(s4.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    assert b1 == b4
+    # Thm2.2 is orbit-reduced to one chunk; Kemperman-weak is not reduced
+    for statement in ("Thm2.2", "Kemperman-weak"):
+        s1 = ac.sweep(A, statement, jobs=1)
+        s4 = ac.sweep(A, statement, jobs=4)
+        assert s1 == s4
+        b1 = json.dumps(s1.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        b4 = json.dumps(s4.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert b1 == b4
+    assert sweep_mod._SweepContext(A, "Kemperman-weak", None).weight is None
 
 
 def test_repeat_runs_identical():
