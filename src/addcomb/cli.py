@@ -18,7 +18,6 @@ came back false (reserved for implementation bugs: it must never happen).
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import sys
 import time
@@ -68,94 +67,45 @@ EXIT_VIOLATION = 3
 def parse_spec(text: str) -> FiniteSemigroup:
     """Resolve a spec string to a built (validated) semigroup."""
     try:
-        return _SpecParser(text).parse(0, len(text))
+        return _parse_spec(text.strip())
     except RecursionError:
         raise ParseError("semigroup spec nested too deeply") from None
 
 
-class _SpecParser:
-    """Parses the spec text by index ranges, never slicing a nested spec
-    out of it, so that the time is linear in its length at any depth.
-
-    A product's components are split at the first comma of its
-    parenthesised part whose paren depth (counted from the part's start)
-    is 0.  One left-to-right pass records each character's depth and the
-    commas at each depth, so that comma is a bisection away."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.depth = []
-        self.commas = {}
-        d = 0
-        for i, ch in enumerate(text):
-            self.depth.append(d)
-            if ch == "(":
-                d += 1
-            elif ch == ")":
-                d -= 1
-            elif ch == ",":
-                self.commas.setdefault(d, []).append(i)
-
-    def strip(self, a: int, b: int) -> tuple[int, int]:
-        """The range text[a:b] without its leading and trailing whitespace."""
-        text = self.text
-        while a < b and text[a].isspace():
-            a += 1
-        while b > a and text[b - 1].isspace():
-            b -= 1
-        return a, b
-
-    def parse(self, a: int, b: int) -> FiniteSemigroup:
-        """The semigroup of the spec text[a:b]."""
-        a, b = self.strip(a, b)
-        text = self.text
-        if a == b:
-            raise ParseError("empty semigroup spec")
-        if b - a == 11 and text.startswith("quaternion8", a):
-            return quaternion8()
-        colon = text.find(":", a, b)
-        if colon < 0:
-            raise UnknownSpec(
-                "unknown semigroup spec %r (expected construction:arguments)"
-                % text[a:b]
-            )
-        head = text[a:colon].strip()
-        if head == "product":
-            r0, r1 = self.strip(colon + 1, b)
-            if not (r0 < r1 - 1 and text[r0] == "(" and text[r1 - 1] == ")"):
-                raise ParseError(
-                    "product spec needs (left,right), got %r" % text[r0:r1]
-                )
-            top = self.commas.get(self.depth[r0 + 1], [])
-            i = bisect.bisect_left(top, r0 + 1)
-            if i == len(top) or top[i] >= r1 - 1:
-                raise ParseError("product spec %r needs a top-level comma" % text[a:b])
-            left, right = self.strip(r0 + 1, top[i]), self.strip(top[i] + 1, r1 - 1)
-            if left[0] == left[1] or right[0] == right[1]:
-                raise ParseError("product spec %r needs two components" % text[a:b])
-            return product(self.parse(*left), self.parse(*right))
-        rest = text[colon + 1 : b]
-        if head in _INT_SPECS:
-            return _INT_SPECS[head](_int_arg(rest, text[a:b]))
-        if head == "cayley":
-            path = rest.strip()
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                raise ParseError(
-                    "cannot read table file %r: %s" % (path, exc)
-                ) from None
-            return parse_cayley_text(data, label="cayley:%s" % path)
-        raise UnknownSpec("unknown construction %r in spec %r" % (head, text[a:b]))
-
-
-_INT_SPECS = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "leftzero": leftzero,
-    "maxchain": maxchain,
-}
+def _parse_spec(text: str) -> FiniteSemigroup:
+    if not text:
+        raise ParseError("empty semigroup spec")
+    if text == "quaternion8":
+        return quaternion8()
+    head, sep, rest = text.partition(":")
+    head = head.strip()
+    if not sep:
+        raise UnknownSpec(
+            "unknown semigroup spec %r (expected construction:arguments)" % text
+        )
+    if head == "cyclic":
+        return cyclic(_int_arg(rest, text))
+    if head == "dihedral":
+        return dihedral(_int_arg(rest, text))
+    if head == "leftzero":
+        return leftzero(_int_arg(rest, text))
+    if head == "maxchain":
+        return maxchain(_int_arg(rest, text))
+    if head == "product":
+        rest = rest.strip()
+        if not (rest.startswith("(") and rest.endswith(")")):
+            raise ParseError("product spec needs (left,right), got %r" % rest)
+        left, right = _split_pair(rest[1:-1], text)
+        return product(_parse_spec(left), _parse_spec(right))
+    if head == "cayley":
+        path = rest.strip()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ParseError("cannot read table file %r: %s" % (path, exc)) from None
+        return parse_cayley_text(data, label="cayley:%s" % path)
+    raise UnknownSpec("unknown construction %r in spec %r" % (head, text))
 
 
 def _int_arg(rest: str, whole: str) -> int:
@@ -165,6 +115,21 @@ def _int_arg(rest: str, whole: str) -> int:
         raise ParseError(
             "expected an integer argument in %r, got %r" % (whole, rest)
         ) from None
+
+
+def _split_pair(inner: str, whole: str) -> tuple[str, str]:
+    depth = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            left, right = inner[:i].strip(), inner[i + 1 :].strip()
+            if not left or not right:
+                raise ParseError("product spec %r needs two components" % whole)
+            return left, right
+    raise ParseError("product spec %r needs a top-level comma" % whole)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,11 @@ def _capped_masks(n: int, max_size: int) -> list[int]:
 _WORKER_CTX = None
 
 
+def _set_worker_ctx(ctx: _SweepContext) -> None:
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
+
+
 def _worker_run(xs, w):
     return _WORKER_CTX.eval_chunk(xs, w)
 
@@ -424,19 +429,17 @@ def _worker_run(xs, w):
 def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
     """The tallies of rows, row i counted weight[i] times, one per chunk of
     CHUNK rows, in chunk order."""
-    global _WORKER_CTX
     chunks = [
         (rows[i : i + CHUNK], weight[i : i + CHUNK]) for i in range(0, len(rows), CHUNK)
     ]
     if jobs <= 1 or len(chunks) <= 1:
         return [ctx.eval_chunk(xs, w) for xs, w in chunks]
-    # forked workers inherit the context built here
-    _WORKER_CTX = ctx
-    try:
-        with multiprocessing.get_context("fork").Pool(min(jobs, len(chunks))) as pool:
-            return pool.starmap(_worker_run, chunks, chunksize=1)
-    finally:
-        _WORKER_CTX = None
+    # forked workers inherit the context built here: under fork, initargs
+    # reach each child through the fork and are not pickled
+    with multiprocessing.get_context("fork").Pool(
+        min(jobs, len(chunks)), initializer=_set_worker_ctx, initargs=(ctx,)
+    ) as pool:
+        return pool.starmap(_worker_run, chunks, chunksize=1)
 
 
 def _merge(parts, statement, label, n, max_size, n_masks, elapsed) -> SweepSummary:

@@ -78,15 +78,6 @@ def test_parse_spec_nested_errors_name_the_inner_spec():
     assert A.n == 6 and A.label == "product:(cyclic:2,product:(cyclic:1,cyclic:3))"
 
 
-def test_parse_spec_deep_nesting_on_either_side():
-    depth = 400
-    left = "product:(" * depth + "cyclic:1" + ",cyclic:1)" * depth
-    right = "product:(cyclic:1," * depth + "cyclic:1" + ")" * depth
-    for spec in (left, right):
-        A = cli.parse_spec(spec)
-        assert A.n == 1 and A.label.count("product:") == depth
-
-
 def test_parse_spec_cayley(tmp_path):
     good = tmp_path / "z3.txt"
     good.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -190,13 +192,20 @@ def test_capped_sweeps_above_16_elements_match_scalar_verifiers():
 
 
 def test_block_boundaries_leave_the_summary_unchanged(monkeypatch):
-    A = ac.dihedral(5)  # 3-row blocks of orbit rows, some of mixed weights
-    want = ac.sweep(A, "Thm2.2")
+    A = ac.dihedral(5)
+    # Thm2.2 runs 3-row blocks of orbit rows, some of mixed weights;
+    # Kemperman-weak is not reduced, so its 1023 rows split both chunks
+    statements = ("Thm2.2", "Kemperman-weak")
+    want = {st: ac.sweep(A, st) for st in statements}
     monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 << A.n)
-    assert sweep_mod._SweepContext(A, "Thm2.2", None).block == 3
-    got = ac.sweep(A, "Thm2.2")
-    assert got == want
-    assert got.to_json_dict() == want.to_json_dict()
+    assert sweep_mod._SweepContext(A, "Thm2.2", None).weight is not None
+    assert sweep_mod._SweepContext(A, "Kemperman-weak", None).weight is None
+    for st in statements:
+        assert sweep_mod._SweepContext(A, st, None).block == 3
+        got = ac.sweep(A, st)
+        assert got.tight > 0 and got.first_tight is not None
+        assert got == want[st]
+        assert got.to_json_dict() == want[st].to_json_dict()
 
 
 def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
@@ -432,6 +441,30 @@ def test_parallel_summary_identical_to_serial():
         b4 = json.dumps(s4.to_json_dict(), sort_keys=True, separators=(",", ":"))
         assert b1 == b4
     assert sweep_mod._SweepContext(A, "Kemperman-weak", None).weight is None
+
+
+def test_interleaved_parallel_sweeps_keep_their_own_context(monkeypatch):
+    # a second parallel sweep that runs while the first one's pool is being
+    # made, as one in another thread can, must not change the context that
+    # the first pool's workers evaluate
+    A = ac.dihedral(5)
+    want = {st: ac.sweep(A, st) for st in ("Kemperman-weak", "Cor2.7")}
+    fork = multiprocessing.get_context("fork")
+    inner = []
+
+    class Interleaving:
+        def Pool(self, *args, **kwargs):
+            if not inner:
+                inner.append(None)
+                inner[0] = ac.sweep(A, "Cor2.7", jobs=2)
+            return fork.Pool(*args, **kwargs)
+
+    shim = types.SimpleNamespace(get_context=lambda method: Interleaving())
+    monkeypatch.setattr(sweep_mod, "multiprocessing", shim)
+    monkeypatch.setattr(sweep_mod, "CHUNK", 16)  # Cor2.7's 41 open rows: 3 chunks
+    outer = ac.sweep(A, "Kemperman-weak", jobs=2)
+    assert outer == want["Kemperman-weak"]
+    assert inner[0] == want["Cor2.7"]
 
 
 def test_repeat_runs_identical():
