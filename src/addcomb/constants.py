@@ -17,15 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import (
-    INFINITY,
-    ElementSet,
-    ExtendedNat,
-    FiniteSemigroup,
-    cyclic,
-    element_order,
-    iter_bits,
-)
+from .core import ElementSet, ExtendedNat, FiniteSemigroup, cyclic, iter_bits
 from .errors import EmptySet, PreconditionFailed
 
 
@@ -41,33 +33,50 @@ class OmegaBreakdown:
     overall: ExtendedNat
 
 
-def _omega_mask(A: FiniteSemigroup, zmask: int) -> list[tuple[int, ExtendedNat]]:
-    table = A.table
+def _omega_rows(A: FiniteSemigroup, zmask: int) -> list[tuple[int, int | None]]:
+    """(z0, inner) for each unit z0 in Z, inner None (infinity) for Z = {z0}."""
+    zs = iter_bits(zmask)
+    diff_order = A._diff_order
     rows = []
     for z0 in iter_bits(zmask & A.units.mask):
-        inv = A.inverse(z0)
-        rest = zmask & ~(1 << z0)
-        if rest == 0:
-            inner = INFINITY
-        else:
-            inner = ExtendedNat(
-                min(element_order(A, table[z][inv]).value for z in iter_bits(rest))
-            )
-        rows.append((z0, inner))
+        row = diff_order[z0]
+        rows.append((z0, min([row[z] for z in zs if z != z0], default=None)))
     return rows
+
+
+def _omega_sup(rows: list[tuple[int, int | None]]) -> int | None:
+    """The max of the rows' inner minima, 0 for no rows, None (infinity)
+    for the one row of a unit singleton, the only infinite row."""
+    if rows and rows[0][1] is None:
+        return None
+    return max([inner for _, inner in rows], default=0)
+
+
+def _omega_value(A: FiniteSemigroup, zmask: int) -> int | None:
+    """omega(Z) as an int, None for infinity."""
+    return _omega_sup(_omega_rows(A, zmask))
 
 
 def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
     """Full breakdown of omega(Z); overall 0 when Z contains no unit."""
     A.check_set(Z)
-    rows = _omega_mask(A, Z.mask)
-    overall = max((inner for _, inner in rows), default=ExtendedNat(0))
-    return OmegaBreakdown(rows=tuple(rows), overall=overall)
+    rows = _omega_rows(A, Z.mask)
+    return OmegaBreakdown(
+        rows=tuple((z0, ExtendedNat(inner)) for z0, inner in rows),
+        overall=ExtendedNat(_omega_sup(rows)),
+    )
 
 
 def omega_pair(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:
     """max(omega(X), omega(Y))."""
-    return max(omega(A, X).overall, omega(A, Y).overall)
+    A.check_set(X)
+    A.check_set(Y)
+    return ExtendedNat(_omega_max(_omega_value(A, X.mask), _omega_value(A, Y.mask)))
+
+
+def _omega_max(wx: int | None, wy: int | None) -> int | None:
+    """max(wx, wy), with None for infinity."""
+    return None if wx is None or wy is None else max(wx, wy)
 
 
 def cd_constant(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:
@@ -82,7 +91,19 @@ def cd_constant(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat
     A.check_set(Y)
     if X.mask == 0 or Y.mask == 0:
         return ExtendedNat(0)
-    return min(omega_pair(A, X, Y), ExtendedNat(len(X) + len(Y) - 1))
+    omega_xy = _omega_max(_omega_value(A, X.mask), _omega_value(A, Y.mask))
+    return ExtendedNat(_capped(omega_xy, len(X) + len(Y) - 1))
+
+
+def _capped(value: int | None, cap: int) -> int:
+    """min(value, cap), with None for infinity."""
+    return cap if value is None else min(value, cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _gcd_row(m: int) -> tuple[int, ...]:
+    """gcd(m, d) for d in [0, m)."""
+    return tuple(math.gcd(m, d) for d in range(m))
 
 
 def delta(m: int, Z: ElementSet) -> int:
@@ -91,12 +112,11 @@ def delta(m: int, Z: ElementSet) -> int:
     _check_residues(m, Z)
     if Z.mask == 0:
         raise EmptySet("delta is undefined for the empty set")
-    zs = Z.elements()
+    zs = iter_bits(Z.mask)
     if len(zs) == 1:
         return 1
-    return min(
-        max(math.gcd(m, (z - z0) % m) for z in zs if z != z0) for z0 in zs
-    )
+    g = _gcd_row(m)  # g[z - z0] is gcd(m, (z - z0) % m), as -m < z - z0 < m
+    return min(max(g[z - z0] for z in zs if z != z0) for z0 in zs)
 
 
 def pillai_delta(m: int, Z: ElementSet) -> int:
@@ -105,12 +125,11 @@ def pillai_delta(m: int, Z: ElementSet) -> int:
     _check_residues(m, Z)
     if Z.mask == 0:
         raise EmptySet("pillai_delta is undefined for the empty set")
-    zs = Z.elements()
+    zs = iter_bits(Z.mask)
     if len(zs) == 1:
         return 1
-    return max(
-        math.gcd(m, (z - z0) % m) for z0 in zs for z in zs if z != z0
-    )
+    g = _gcd_row(m)
+    return max(g[z - z0] for z0 in zs for z in zs if z != z0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,22 @@ subsets are single machine words.
 
 Element names (r, s, i, j, ...) are a display concern only and never appear
 below the I/O layer.
+
+Each carrier also builds, once at construction, the integer tables that the
+scalar paths read instead of recomputing them on every call:
+
+- ``_bit_table[a][b]``: the bit mask of a + b;
+- ``_orders[z]``: the order |{z, z+z, ...}| of z;
+- ``_diff_order[z0][z]``: ord(z + inverse(z0)) for each unit z0, None for a
+  non-unit z0;
+- ``_preimage[y][z]``: the mask of the w with w + y = z, which may have
+  several bits on a non-cancellative carrier;
+- ``_p``: the least order of a non-identity element of the unitization,
+  None (infinity) for the trivial monoid;
+- ``_standard_cyclic``: whether the table is addition mod n on the indices.
+
+The library works on bit masks and plain ints, with None for infinity, and
+wraps results in ``ElementSet`` and ``ExtendedNat`` only when it returns them.
 """
 
 from __future__ import annotations
@@ -25,12 +41,20 @@ from .errors import (
 MAX_CARRIER = 64
 
 
-def iter_bits(mask: int):
-    """Yield the positions of the set bits of ``mask``, ascending."""
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_BYTE_BITS_8 = tuple(tuple(i + 8 for i in bits) for bits in _BYTE_BITS)
+
+
+def iter_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending, as a list."""
+    # the low 16 bits by table, the rest one bit at a time
+    bits = [*_BYTE_BITS[mask & 255], *_BYTE_BITS_8[mask >> 8 & 255]]
+    mask >>= 16
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() + 15)
         mask ^= low
+    return bits
 
 
 @functools.total_ordering
@@ -185,7 +209,7 @@ class ElementSet:
         return tuple(iter_bits(self.mask))
 
     def __iter__(self):
-        return iter_bits(self.mask)
+        return iter(iter_bits(self.mask))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -234,8 +258,9 @@ class FiniteSemigroup:
     """A validated finite semigroup on the carrier [0, n).
 
     Structural facts (identity, units, inverses, commutativity,
-    cancellativity) are computed once at construction.  Instances are
-    immutable and safe to share across worker processes.
+    cancellativity) and the integer tables listed in the module docstring
+    are computed once at construction.  Instances are immutable and safe to
+    share across worker processes.
     """
 
     __slots__ = (
@@ -248,7 +273,11 @@ class FiniteSemigroup:
         "is_cancellative",
         "_inverse",
         "_bit_table",
-        "_order_cache",
+        "_orders",
+        "_diff_order",
+        "_preimage",
+        "_p",
+        "_standard_cyclic",
     )
 
     def __init__(self, table, label: str | None = None):
@@ -315,7 +344,44 @@ class FiniteSemigroup:
         object.__setattr__(
             self, "_bit_table", tuple(tuple(1 << v for v in row) for row in table)
         )
-        object.__setattr__(self, "_order_cache", [None] * n)
+
+        orders = []
+        for z in range(n):
+            seen, cur = 1 << z, z
+            while True:
+                cur = table[cur][z]
+                if seen >> cur & 1:
+                    break
+                seen |= 1 << cur
+            orders.append(seen.bit_count())
+        object.__setattr__(self, "_orders", tuple(orders))
+        object.__setattr__(
+            self,
+            "_diff_order",
+            tuple(
+                None if inv is None else tuple(orders[row[inv]] for row in table)
+                for inv in inverse
+            ),
+        )
+        preimage = [[0] * n for _ in range(n)]
+        for w, row in enumerate(table):
+            for y, z in enumerate(row):
+                preimage[y][z] |= 1 << w
+        object.__setattr__(self, "_preimage", tuple(map(tuple, preimage)))
+        # the unitization adds no element of a new order: its fresh identity
+        # is excluded, and A's own identity, if any, is the identity there
+        object.__setattr__(
+            self,
+            "_p",
+            min((orders[z] for z in range(n) if z != identity), default=None),
+        )
+        # exact because the table is associative: every element is then a
+        # power of 1, so the column of 1 fixes the whole table
+        object.__setattr__(
+            self,
+            "_standard_cyclic",
+            all(table[a][1 % n] == (a + 1) % n for a in range(n)),
+        )
 
     def __setattr__(self, *_):
         raise AttributeError("FiniteSemigroup is immutable")
@@ -411,19 +477,7 @@ def element_order(A: FiniteSemigroup, z: int) -> ExtendedNat:
     Always finite on a finite carrier, but typed as an extended natural to
     match the quantities built on top of it.
     """
-    cached = A._order_cache[z]
-    if cached is None:
-        row_step = A.table
-        seen = 1 << z
-        cur = z
-        while True:
-            cur = row_step[cur][z]
-            if seen >> cur & 1:
-                break
-            seen |= 1 << cur
-        cached = seen.bit_count()
-        A._order_cache[z] = cached
-    return ExtendedNat(cached)
+    return ExtendedNat(A._orders[z])
 
 
 def generated_subsemigroup(A: FiniteSemigroup, Z: ElementSet) -> ElementSet:
@@ -448,13 +502,7 @@ def p_constant(A: FiniteSemigroup) -> ExtendedNat:
 
     Infinite for the trivial monoid (minimum over an empty set).
     """
-    A1 = unitization(A)
-    if A1.n == 1:
-        return INFINITY
-    values = [
-        element_order(A1, z).value for z in range(A1.n) if z != A1.identity
-    ]
-    return ExtendedNat(min(values))
+    return INFINITY if A._p is None else ExtendedNat(A._p)
 
 
 def centralizer(A: FiniteSemigroup, X: ElementSet) -> ElementSet:

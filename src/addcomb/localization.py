@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import omega
+from .constants import _omega_value
 from .core import ElementSet, FiniteSemigroup, iter_bits
 from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
-from .setops import span_is_commutative, sumset
+from .setops import _commutes
 
 HALL_EXHAUSTIVE_LIMIT = 20
 
@@ -99,47 +99,65 @@ def localize(
     """
     A.check_set(X)
     A.check_set(Y)
-    if X.mask == 0 or Y.mask == 0:
+    xmask, ymask = X.mask, Y.mask
+    if xmask == 0 or ymask == 0:
         raise EmptySet("localize needs non-empty X and Y")
 
-    total = sumset(A, X, Y)
+    xs = iter_bits(xmask)
+    ys = iter_bits(ymask)
+    bit_table = A._bit_table
+    # x + Y as a mask for each x in X: the rows of the sum matrix
+    row_sums = []
+    for x in xs:
+        row = bit_table[x]
+        s = 0
+        for y in ys:
+            s |= row[y]
+        row_sums.append(s)
+    total = 0
+    for s in row_sums:
+        total |= s
     failed = []
     if not A.is_cancellative:
         failed.append("cancellative")
-    if not span_is_commutative(A, Y):
+    if not _commutes(A, ymask):
         failed.append("span_y_commutative")
-    if not omega(A, Y).overall > len(total):
+    w = _omega_value(A, ymask)
+    if w is not None and w <= total.bit_count():
         failed.append("sumset_smaller_than_omega")
     if failed:
         raise PreconditionFailed(failed)
 
-    xs = X.elements()
-    ys = Y.elements()
     n = A.n
     if Z is None:
-        x1 = xs[0]
-        Z = ElementSet.from_elements(n, (A.table[x1][y] for y in ys[:-1]))
+        row = bit_table[xs[0]]
+        zmask = 0
+        for y in ys[:-1]:
+            zmask |= row[y]
+        Z = ElementSet(n, zmask)
     else:
         A.check_set(Z)
-        if not Z <= total:
-            raise BadZ("Z = %s is not a subset of X+Y = %s" % (Z, total))
-    if len(Z) != len(ys) - 1:
-        raise BadZ("|Z| = %d, expected l-1 = %d" % (len(Z), len(ys) - 1))
+        zmask = Z.mask
+        if zmask & ~total:
+            raise BadZ("Z = %s is not a subset of X+Y = %s" % (Z, ElementSet(n, total)))
+    if zmask.bit_count() != len(ys) - 1:
+        raise BadZ("|Z| = %d, expected l-1 = %d" % (zmask.bit_count(), len(ys) - 1))
 
-    rows = [sumset(A, ElementSet.of(n, x), Y).mask & ~Z.mask for x in xs]
-    matched = _max_matching(rows, n)
-    if any(e is None for e in matched):
+    matched = _max_matching([s & ~zmask for s in row_sums], n)
+    if None in matched:
         raise TheoremViolated(
             "no system of distinct representatives despite hypotheses holding; "
             "this contradicts the localization proposition"
         )
-    result = LocalizationResult(Z=Z, representatives=tuple(matched))
-    if len(result.witness_set()) != len(xs) + len(ys) - 1:
+    witness = zmask
+    for e in matched:
+        witness |= 1 << e
+    if witness.bit_count() != len(xs) + len(ys) - 1:
         raise TheoremViolated(
             "localized set has %d elements, expected k + l - 1 = %d"
-            % (len(result.witness_set()), len(xs) + len(ys) - 1)
+            % (witness.bit_count(), len(xs) + len(ys) - 1)
         )
-    return result
+    return LocalizationResult(Z=Z, representatives=tuple(matched))
 
 
 def _max_matching(rows: list[int], n: int) -> list[int | None]:

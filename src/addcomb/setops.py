@@ -13,7 +13,7 @@ from .errors import ValidationError
 
 def _sumset_mask(A: FiniteSemigroup, xmask: int, ymask: int) -> int:
     bit_table = A._bit_table
-    ys = tuple(iter_bits(ymask))
+    ys = iter_bits(ymask)
     out = 0
     for x in iter_bits(xmask):
         row = bit_table[x]
@@ -39,15 +39,15 @@ def n_fold(A: FiniteSemigroup, Z: ElementSet, k: int) -> ElementSet:
     A.check_set(Z)
     if k < 1:
         raise ValidationError("n_fold needs k >= 1, got %d" % k)
-    if A.is_commutative and k >= 4:
-        return ElementSet(A.n, _n_fold_doubling_mask(A, Z.mask, k))
-    acc = Z.mask
-    for _ in range(k - 1):
-        acc = _sumset_mask(A, acc, Z.mask)
-    return ElementSet(A.n, acc)
+    return ElementSet(A.n, _n_fold_mask(A, Z.mask, k))
 
 
-def _n_fold_doubling_mask(A: FiniteSemigroup, zmask: int, k: int) -> int:
+def _n_fold_mask(A: FiniteSemigroup, zmask: int, k: int) -> int:
+    if not (A.is_commutative and k >= 4):
+        acc = zmask
+        for _ in range(k - 1):
+            acc = _sumset_mask(A, acc, zmask)
+        return acc
     acc = 0  # 0 summands so far; combined lazily to avoid an identity element
     power = zmask  # 2^i-fold sum of Z
     while k:
@@ -60,18 +60,22 @@ def _n_fold_doubling_mask(A: FiniteSemigroup, zmask: int, k: int) -> int:
 
 
 def right_difference(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ElementSet:
-    """X - Y = {z in the carrier : (z + Y) meets X}, by full carrier scan."""
+    """X - Y = {z in the carrier : (z + Y) meets X}."""
     A.check_set(X)
     A.check_set(Y)
-    table = A.table
-    ys = Y.elements()
-    xmask = X.mask
+    return ElementSet(A.n, _difference_mask(A, X.mask, Y.mask))
+
+
+def _difference_mask(A: FiniteSemigroup, xmask: int, ymask: int) -> int:
+    """X - Y: the OR of the preimages of x under + y, over x in X, y in Y."""
+    preimage = A._preimage
+    xs = iter_bits(xmask)
     out = 0
-    for z in range(A.n):
-        row = table[z]
-        if any(xmask >> row[y] & 1 for y in ys):
-            out |= 1 << z
-    return ElementSet(A.n, out)
+    for y in iter_bits(ymask):
+        row = preimage[y]
+        for x in xs:
+            out |= row[x]
+    return out
 
 
 def left_difference(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ElementSet:
@@ -119,14 +123,24 @@ def span_check(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> tuple[bool, 
 def span_is_commutative(A: FiniteSemigroup, Y: ElementSet) -> bool:
     """Whether the subsemigroup generated by Y is commutative.
 
-    Checked by generating the closure and testing commutativity inside it
-    (equivalent to Y commuting pairwise, but the closure is what the
-    downstream statements quantify over).
+    Checked as "the elements of Y commute pairwise", which is equivalent:
+    sums of pairwise commuting elements commute.
     """
     if A.is_commutative:
         return True
+    A.check_set(Y)
+    return _commutes(A, Y.mask)
+
+
+def _commutes(A: FiniteSemigroup, mask: int) -> bool:
+    """Whether the elements of mask commute pairwise."""
+    if A.is_commutative:
+        return True
     table = A.table
-    span = generated_subsemigroup(A, Y).elements()
-    return all(
-        table[a][b] == table[b][a] for i, a in enumerate(span) for b in span[:i]
-    )
+    zs = iter_bits(mask)
+    for i, a in enumerate(zs):
+        row = table[a]
+        for b in zs[:i]:
+            if row[b] != table[b][a]:
+                return False
+    return True

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElementSet, FiniteSemigroup, element_order, iter_bits, p_constant
+from .core import ElementSet, FiniteSemigroup, iter_bits
 from .errors import CarrierTooLarge, NotGroup
 from .theorems import _is_prime, is_standard_cyclic, normalize_statement, statement_info
 
@@ -184,8 +184,7 @@ class _SweepContext:
             # M[x, j] = bit mask of the single element x + j
             self.M = np.array(A._bit_table, dtype=np.uint64)
 
-        p = p_constant(A)
-        self.p_const = p.value if p.is_finite else _INF
+        self.p_const = _INF if A._p is None else A._p
         gx, gy, self.u, self.v = (
             np.broadcast_to(f, n_cols) for f in self._features(statement)
         )
@@ -243,13 +242,11 @@ class _SweepContext:
     def _omega_table(self) -> np.ndarray:
         """omega of each column, _INF for a unit singleton."""
         A = self.A
-        t = np.array(A.table)
-        order = np.array([element_order(A, z).value for z in range(self.n)])
         # ord(z - z0) for units z0, 255 (infinity) for z = z0; a column of
         # zeros for each non-unit z0, which the outer max ignores
         w = np.zeros((self.n, self.n), dtype=np.uint8)
         for z0 in iter_bits(A.units.mask):
-            w[:, z0] = order[t[:, A.inverse(z0)]]
+            w[:, z0] = A._diff_order[z0]
             w[z0, z0] = 255
         omega = self._reduce(w, np.minimum, np.maximum)
         return np.where(omega == 255, _INF, omega.astype(np.int64))

@@ -28,23 +28,30 @@ Statement catalog (ids are opaque tokens used by the CLI and reports):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .constants import delta, omega, pillai_delta
+from .constants import (
+    _capped,
+    _cyclic_cached,
+    _gcd_row,
+    _omega_max,
+    _omega_value,
+    delta,
+    pillai_delta,
+)
 from .core import (
     ElementSet,
     ExtendedNat,
     FiniteSemigroup,
     cyclic,
     dihedral,
+    iter_bits,
     maxchain,
-    p_constant,
     product,
     quaternion8,
 )
 from .errors import EmptySet, NotGroup, ParseError, TheoremViolated
-from .setops import span_is_commutative, sumset
+from .setops import _commutes, _sumset_mask
 
 STATEMENTS = (
     "CD-1813",
@@ -127,8 +134,11 @@ def _is_prime(n: int) -> bool:
 
 def is_standard_cyclic(A: FiniteSemigroup) -> bool:
     """True when the table is literally addition mod n on the indices."""
-    n = A.n
-    return all(A.table[a][b] == (a + b) % n for a in range(n) for b in range(n))
+    return A._standard_cyclic
+
+
+def _lhs(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> int:
+    return _sumset_mask(A, X.mask, Y.mask).bit_count()
 
 
 def verify_cd(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport:
@@ -137,7 +147,7 @@ def verify_cd(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport:
     A.check_set(Y)
     _require_nonempty(X, Y)
     hyps = [("group", A.is_group), ("prime_order", _is_prime(A.n))]
-    lhs = len(sumset(A, X, Y))
+    lhs = _lhs(A, X, Y)
     rhs = ExtendedNat(min(A.n, len(X) + len(Y) - 1))
     return _report("CD-1813", hyps, lhs, rhs)
 
@@ -150,11 +160,11 @@ def verify_main(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport
     _require_nonempty(X, Y)
     hyps = [
         ("cancellative", A.is_cancellative),
-        ("span_y_commutative", span_is_commutative(A, Y)),
+        ("span_y_commutative", _commutes(A, Y.mask)),
     ]
-    lhs = len(sumset(A, X, Y))
-    rhs = min(omega(A, Y).overall, ExtendedNat(len(X) + len(Y) - 1))
-    return _report("Thm2.2", hyps, lhs, rhs)
+    lhs = _lhs(A, X, Y)
+    rhs = _capped(_omega_value(A, Y.mask), len(X) + len(Y) - 1)
+    return _report("Thm2.2", hyps, lhs, ExtendedNat(rhs))
 
 
 def verify_mirror(
@@ -165,18 +175,19 @@ def verify_mirror(
     A.check_set(X)
     A.check_set(Y)
     _require_nonempty(X, Y)
-    lhs = len(sumset(A, X, Y))
-    size_cap = ExtendedNat(len(X) + len(Y) - 1)
-    comm_x = span_is_commutative(A, X)
-    comm_y = span_is_commutative(A, Y)
-    omega_x = omega(A, X).overall
-    omega_y = omega(A, Y).overall
+    lhs = _lhs(A, X, Y)
+    size_cap = len(X) + len(Y) - 1
+    comm_x = _commutes(A, X.mask)
+    comm_y = _commutes(A, Y.mask)
+    omega_x = _omega_value(A, X.mask)
+    omega_y = _omega_value(A, Y.mask)
+    omega_xy = _omega_max(omega_x, omega_y)
 
     mirror = _report(
         "Cor2.4",
         [("cancellative", A.is_cancellative), ("span_x_commutative", comm_x)],
         lhs,
-        min(omega_x, size_cap),
+        ExtendedNat(_capped(omega_x, size_cap)),
     )
     both = _report(
         "Cor2.7",
@@ -186,7 +197,7 @@ def verify_mirror(
             ("span_y_commutative", comm_y),
         ],
         lhs,
-        min(max(omega_x, omega_y), size_cap),
+        ExtendedNat(_capped(omega_xy, size_cap)),
     )
     return (mirror, both)
 
@@ -202,13 +213,13 @@ def verify_kemperman_weak(
     need = len(X) + len(Y) - 1
     hyps = [
         ("cancellative", A.is_cancellative),
-        ("orders_large_enough", p_constant(A) >= need),
+        ("orders_large_enough", A._p is None or A._p >= need),
         (
             "span_x_or_y_commutative",
-            span_is_commutative(A, X) or span_is_commutative(A, Y),
+            _commutes(A, X.mask) or _commutes(A, Y.mask),
         ),
     ]
-    lhs = len(sumset(A, X, Y))
+    lhs = _lhs(A, X, Y)
     return _report("Kemperman-weak", hyps, lhs, ExtendedNat(need))
 
 
@@ -220,16 +231,17 @@ def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
     side must dominate; that comparison is checked here (it is a theorem),
     and TheoremViolated is raised if it fails.
     """
-    A = _zmod(m)
+    A = _cyclic_cached(m)
     A.check_set(X)
     A.check_set(Y)
     _require_nonempty(X, Y)
-    lhs = len(sumset(A, X, Y))
+    lhs = _lhs(A, X, Y)
     size_cap = len(X) + len(Y) - 1
-    coprime = all(math.gcd(m, y) == 1 for y in Y if y != 0)
+    g = _gcd_row(m)
+    coprime = all(g[y] == 1 for y in iter_bits(Y.mask & ~1))
     chowla = _report(
         "Chowla",
-        [("zero_in_y", 0 in Y), ("y_coprime_to_m", coprime)],
+        [("zero_in_y", Y.mask & 1 == 1), ("y_coprime_to_m", coprime)],
         lhs,
         ExtendedNat(min(m, size_cap)),
     )
@@ -263,11 +275,11 @@ def verify_hk(
     if not A.is_group:
         raise NotGroup("the p-constant bound is stated for groups")
     _require_nonempty(X, Y)
-    lhs = len(sumset(A, X, Y))
-    rhs = min(p_constant(A), ExtendedNat(len(X) + len(Y) - 1))
+    lhs = _lhs(A, X, Y)
+    rhs = ExtendedNat(_capped(A._p, len(X) + len(Y) - 1))
     hk = _report("HK", [("group", True)], lhs, rhs)
     sharper = None
-    if span_is_commutative(A, Y):
+    if _commutes(A, Y.mask):
         sharper = verify_main(A, X, Y)
         if sharper.applicable and sharper.rhs < hk.rhs:
             raise TheoremViolated(
@@ -305,20 +317,19 @@ _STATEMENT_INFO = {
 }
 
 
+_STATEMENT_IDS = {s.lower(): s for s in STATEMENTS}
+_STATEMENT_IDS.update(cd1813="CD-1813", cd="CD-1813", kemperman="Kemperman-weak")
+
+
 def normalize_statement(text: str) -> str:
     """Map a user-supplied statement token to its canonical catalog id."""
-    cleaned = text.strip().lower().replace("_", "-")
-    for statement in STATEMENTS:
-        if cleaned == statement.lower():
-            return statement
-    if cleaned in ("cd1813", "cd"):
-        return "CD-1813"
-    if cleaned in ("kemperman", "kemperman-weak"):
-        return "Kemperman-weak"
-    raise ParseError(
-        "unknown statement %r (choose from %s)"
-        % (text, ", ".join(s.lower() for s in STATEMENTS))
-    )
+    statement = _STATEMENT_IDS.get(text.strip().lower().replace("_", "-"))
+    if statement is None:
+        raise ParseError(
+            "unknown statement %r (choose from %s)"
+            % (text, ", ".join(s.lower() for s in STATEMENTS))
+        )
+    return statement
 
 
 def statement_info(statement: str) -> _StatementInfo:
@@ -338,12 +349,6 @@ def run_statement(
             "with the standard table" % statement
         )
     return info.run(A, X, Y)
-
-
-def _zmod(m: int) -> FiniteSemigroup:
-    from .constants import _cyclic_cached
-
-    return _cyclic_cached(m)
 
 
 # ---------------------------------------------------------------------------

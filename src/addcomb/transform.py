@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import ElementSet, FiniteSemigroup, iter_bits
 from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital, NoWitness
-from .setops import n_fold, right_difference, span_is_commutative, sumset
+from .setops import _commutes, _difference_mask, _n_fold_mask, _sumset_mask
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,12 @@ def transform_candidates(
     A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int = 1
 ) -> ElementSet:
     """(mX + 2Y) minus (X + Y); empty means no transform applies."""
+    return ElementSet(A.n, _candidates(A, X, Y, m)[0])
+
+
+def _candidates(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
+    """(mX + 2Y) minus (X + Y), the shifts (m-1)X ({identity} for m = 1)
+    and X + Y, as masks.  mX + 2Y is computed as shifts + (X + Y) + Y."""
     A.check_set(X)
     A.check_set(Y)
     if A.identity is None:
@@ -71,8 +77,10 @@ def transform_candidates(
         raise EmptySet("transform needs non-empty X and Y")
     if m < 1:
         raise ValueError("exponent m must be >= 1, got %d" % m)
-    head = sumset(A, sumset(A, n_fold(A, X, m), Y), Y)
-    return head - sumset(A, X, Y)
+    shifts = 1 << A.identity if m == 1 else _n_fold_mask(A, X.mask, m - 1)
+    xy = _sumset_mask(A, X.mask, Y.mask)
+    head = _sumset_mask(A, _sumset_mask(A, shifts, xy), Y.mask)
+    return head & ~xy, shifts, xy
 
 
 def apply_transform(
@@ -84,26 +92,22 @@ def apply_transform(
     index, for reproducibility; the audited properties hold for any valid
     choice.
     """
-    if z not in transform_candidates(A, X, Y, m):
+    candidates, shifts, xy = _candidates(A, X, Y, m)
+    if z not in ElementSet(A.n, candidates):
         raise CandidateInvalid("z = %d is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
-    if m == 1:
-        x_candidates = ElementSet.of(A.n, A.identity)
-    else:
-        x_candidates = n_fold(A, X, m - 1)
-    table = A.table
-    for x in x_candidates:
-        base = sumset(A, sumset(A, ElementSet.of(A.n, x), X), Y)  # x + X + Y
-        tilde_mask = 0
-        for y in Y:
-            if any(table[w][y] == z for w in base):
-                tilde_mask |= 1 << y
-        if tilde_mask:
-            y_tilde = ElementSet(A.n, tilde_mask)
+    ys = iter_bits(Y.mask)
+    preimage = A._preimage
+    for x in iter_bits(shifts):
+        base = _sumset_mask(A, 1 << x, xy)  # x + X + Y
+        # the y whose preimage of z under + y meets base
+        tilde = [y for y in ys if base & preimage[y][z]]
+        if tilde:
+            y_tilde = ElementSet.from_elements(A.n, tilde)
             return TransformResult(
                 m=m,
                 z=z,
                 x_z=x,
-                y_z=next(iter_bits(tilde_mask)),
+                y_z=tilde[0],
                 y_tilde=y_tilde,
                 y_prime=Y - y_tilde,
             )
@@ -117,33 +121,35 @@ def audit_transform(
     A: FiniteSemigroup, X: ElementSet, Y: ElementSet, result: TransformResult
 ) -> TransformAudit:
     """Evaluate the five properties of the transform (hypothesis-gated)."""
-    y_tilde, y_prime, z = result.y_tilde, result.y_prime, result.z
-    if y_prime.mask == 0:
+    if result.y_prime.mask == 0:
         raise EmptyTransform()
+    xmask, ymask = A.check_set(X).mask, A.check_set(Y).mask
+    tilde = A.check_set(result.y_tilde).mask
+    prime = A.check_set(result.y_prime).mask
 
     cancellative = A.is_cancellative
-    commutative_span = span_is_commutative(A, Y)
+    commutative_span = _commutes(A, ymask)
 
-    x_z_set = ElementSet.of(A.n, result.x_z)
-    shifted_x = sumset(A, x_z_set, X)  # x_z + X
-    whole = sumset(A, shifted_x, Y)  # x_z + X + Y
-    kept = sumset(A, shifted_x, y_prime)  # x_z + X + Y'
-    reached = right_difference(A, ElementSet.of(A.n, z), y_tilde)  # z - Y_tilde
+    x_z = ElementSet.of(A.n, result.x_z).mask
+    z = ElementSet.of(A.n, result.z).mask
+    shifted_x = _sumset_mask(A, x_z, xmask)  # x_z + X
+    whole = _sumset_mask(A, shifted_x, ymask)  # x_z + X + Y
+    kept = _sumset_mask(A, shifted_x, prime)  # x_z + X + Y'
+    reached = _difference_mask(A, z, tilde)  # z - Y_tilde
 
     item_i = (
-        y_prime.mask != 0
-        and y_tilde.mask != 0
-        and (y_prime & y_tilde).mask == 0
-        and y_tilde == Y - y_prime
-        and y_prime.mask != Y.mask
-        and y_tilde.mask != Y.mask
+        tilde != 0
+        and prime & tilde == 0
+        and tilde == ymask & ~prime
+        and prime != ymask
+        and tilde != ymask
     )
-    item_ii = (kept | reached) <= whole if cancellative else None
-    item_iii = (kept & reached).mask == 0 if commutative_span else None
-    item_iv = len(reached) >= len(y_tilde) if cancellative else None
+    item_ii = (kept | reached) & ~whole == 0 if cancellative else None
+    item_iii = kept & reached == 0 if commutative_span else None
+    item_iv = reached.bit_count() >= tilde.bit_count() if cancellative else None
 
-    v_lhs = len(sumset(A, X, Y)) + len(y_prime)
-    v_rhs = len(sumset(A, X, y_prime)) + len(Y)
+    v_lhs = _sumset_mask(A, xmask, ymask).bit_count() + prime.bit_count()
+    v_rhs = _sumset_mask(A, xmask, prime).bit_count() + ymask.bit_count()
     item_v = v_lhs >= v_rhs if (cancellative and commutative_span) else None
 
     return TransformAudit(

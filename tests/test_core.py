@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import addcomb as ac
+from addcomb.theorems import is_standard_cyclic
 from support import closure_oracle, order_oracle
 
 
@@ -318,3 +321,27 @@ def test_parse_cayley_text_errors():
         ac.parse_cayley_text("1\nz")
     with pytest.raises(ac.NonAssociative):
         ac.parse_cayley_text("2\n0 0\n1 0")
+
+
+def _relabel(A, perm):
+    """A's table with element a renamed perm[a]."""
+    table = [[0] * A.n for _ in range(A.n)]
+    for a in range(A.n):
+        for b in range(A.n):
+            table[perm[a]][perm[b]] = perm[A.table[a][b]]
+    return ac.build_semigroup(table)
+
+
+def test_is_standard_cyclic_matches_its_quadratic_definition():
+    def quadratic(A):
+        n = A.n
+        return all(A.table[a][b] == (a + b) % n for a in range(n) for b in range(n))
+
+    carriers = ac.builtin_monoids(8) + [ac.cyclic(m) for m in (9, 13, 16, 40, 64)]
+    carriers += [ac.leftzero(n) for n in (1, 2, 5)] + [ac.maxchain(1), ac.dihedral(1)]
+    for m in (4, 5):
+        carriers += [_relabel(ac.cyclic(m), p) for p in itertools.permutations(range(m))]
+    assert sum(quadratic(A) for A in carriers) > 10
+    assert sum(not quadratic(A) for A in carriers) > 100
+    for A in carriers:
+        assert is_standard_cyclic(A) == quadratic(A), A.label

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import addcomb as ac
-from support import iter_nonempty_masks, sumset_oracle
+from support import commutative_span_masks, iter_nonempty_masks, sumset_oracle
 
 
 def _s(n, *els):
@@ -149,3 +149,11 @@ def test_span_is_commutative():
     q8 = ac.quaternion8()
     assert ac.span_is_commutative(q8, _s(8, 0, 2))  # {1, i} spans {1,-1,i,-i}
     assert not ac.span_is_commutative(q8, _s(8, 2, 4))  # i and j
+
+
+def test_span_is_commutative_matches_closure_oracle():
+    for A in (ac.dihedral(4), ac.quaternion8(), ac.maxchain(4)):
+        want = set(commutative_span_masks(A))
+        for mask in iter_nonempty_masks(A.n):
+            Y = ac.ElementSet(A.n, mask)
+            assert ac.span_is_commutative(A, Y) == (mask in want), (A.label, mask)
