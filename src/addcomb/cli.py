@@ -102,7 +102,8 @@ def _parse_spec(text: str) -> FiniteSemigroup:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: a NUL in the path, or a file that is not UTF-8
             raise ParseError("cannot read table file %r: %s" % (path, exc)) from None
         return parse_cayley_text(data, label="cayley:%s" % path)
     raise UnknownSpec("unknown construction %r in spec %r" % (head, text))

@@ -30,13 +30,18 @@ size cap alone:
 
 Rows.  An X row whose gate is closed holds no applicable pair, so it is
 not evaluated (Kemperman-weak, which takes either gate, evaluates every
-row).  In a group, a left translate g + X has the same |X| and the same
-|X + Y| as X.  When the row gate and u are also equal on every
-left-translation orbit, which is checked on the built arrays g by g, only
-the least mask of each orbit is evaluated, and its counts are weighted by
-the orbit size.  first_tight does not change, since the first X with a
-tight pair is the least of its orbit; a reduced sweep that finds a
-violation is run again unreduced, so that the witness list is exact.
+row of at most cap_limit elements).  In a group, a left translate g + X
+has the same |X| and the same |X + Y| as X.  When the row gate and u are
+also equal on every left-translation orbit, which is checked on the built
+arrays g by g, only the least mask of each orbit is evaluated, and its
+counts are weighted by the orbit size.  first_tight does not change, since
+the first X with a tight pair is the least of its orbit; a reduced sweep
+that finds a violation is run again unreduced, so that the witness list is
+exact.
+
+numpy is imported by _load_numpy, which binds the module global np when the
+first _SweepContext is built, so importing the package does not load it;
+forked workers inherit the binding.
 
 Determinism contract: the evaluated X rows are split into fixed-size
 chunks (CHUNK rows each, independent of the worker count), chunks are
@@ -54,8 +59,6 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import ElementSet, FiniteSemigroup, iter_bits
 from .errors import CarrierTooLarge, NotGroup
 from .theorems import _is_prime, is_standard_cyclic, normalize_statement, statement_info
@@ -65,6 +68,13 @@ VECTOR_LIMIT = 16
 _INF = 1 << 30  # exceeds every finite bound on carriers of order <= 64
 _MAX_RECORDED = 64
 _BLOCK_PAIRS = 1 << 16  # pairs per kernel block; bounds its temporaries
+
+np = None  # numpy, once _load_numpy has run
+
+
+def _load_numpy() -> None:
+    global np
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,7 @@ class _SweepContext:
     holds the orbit size at the least row of each orbit and 0 elsewhere."""
 
     def __init__(self, A: FiniteSemigroup, statement: str, max_size: int | None):
+        _load_numpy()
         self.A = A
         n = A.n
         self.n = n
@@ -201,7 +212,9 @@ class _SweepContext:
         self.skip = np.bitwise_and if either else np.bitwise_or
         self.u8 = np.minimum(self.u, n + 1).astype(np.uint8)
         self.v8 = np.minimum(self.v, n + 1).astype(np.uint8)
-        self.rows = np.flatnonzero(ok if either else ok & gx)
+        # under either gate, a row of more than cap_limit elements holds no
+        # applicable pair
+        self.rows = np.flatnonzero(ok & (pc <= self.cap_limit) if either else ok & gx)
         self.weight = self._orbit_weights() if A.is_group else None
 
     def _features(self, s: str):

@@ -433,3 +433,109 @@ def test_capped_sweep_report_matches_golden_hash(key):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == _GOLDEN[key]["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# Start-up: numpy loads on the first sweep, not on import
+# ---------------------------------------------------------------------------
+
+# the carriers of the benchmark's pair-queries workload
+QUERY_CARRIERS = (
+    ["cyclic:%d" % m for m in range(5, 17)]
+    + ["dihedral:%d" % k for k in range(3, 9)]
+    + ["quaternion8"]
+    + ["maxchain:%d" % n for n in (5, 8, 12, 16)]
+    + ["leftzero:%d" % n for n in (5, 8, 12, 16)]
+)
+
+NON_SWEEP_COMMANDS = [
+    ["sumset", "--semigroup", "cyclic:5", "--x", "{0,1}", "--y", "{0,1}"],
+    ["omega", "--semigroup", "cyclic:12", "--z", "{1,4,7,10}"],
+    ["verify", "--semigroup", "cyclic:12", "--statement", "cor2.9", "--x", "{0,1}", "--y", "{0,6}"],
+    ["localize", "--semigroup", "cyclic:5", "--x", "{0,1}", "--y", "{0,1,2}"],
+    ["transform", "--semigroup", "cyclic:8", "--x", "{0,1}", "--y", "{0,1,2}"],
+]
+
+
+def _fresh(code: str, *argv: str) -> list:
+    """Run code in a fresh interpreter; it ends by printing one JSON list,
+    which is returned."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_single_library_calls_leave_numpy_unloaded():
+    code = """if True:
+        import json, sys
+        import addcomb as ac
+        from addcomb.cli import parse_spec
+        loaded = ["numpy" in sys.modules]
+        for spec in sys.argv[1:]:
+            A = parse_spec(spec)
+            X, Y = ac.ElementSet.of(A.n, 0, 1), ac.ElementSet.of(A.n, 0, 1, 2)
+            ac.omega(A, Y)
+            for statement in ac.STATEMENTS:
+                try:
+                    ac.run_statement(A, statement, X, Y)
+                except ac.NotGroup:
+                    pass
+        A = ac.cyclic(8)
+        X, Y = ac.ElementSet.of(8, 0, 1), ac.ElementSet.of(8, 0, 1, 2)
+        ac.localize(A, X, Y)
+        r = ac.apply_transform(A, X, Y, 1, 4)
+        ac.audit_transform(A, X, Y, r)
+        loaded.append("numpy" in sys.modules)
+        ac.sweep(ac.cyclic(5), "CD-1813")
+        loaded.append("numpy" in sys.modules)
+        print(json.dumps(loaded))
+    """
+    assert len(QUERY_CARRIERS) == 27
+    assert _fresh(code, *QUERY_CARRIERS) == [False, False, True]
+
+
+@pytest.mark.parametrize("argv", NON_SWEEP_COMMANDS, ids=lambda a: a[0])
+def test_non_sweep_commands_leave_numpy_unloaded(argv):
+    code = """if True:
+        import json, sys
+        from addcomb.cli import main
+        code = main(sys.argv[1:])
+        print(json.dumps([code, "numpy" in sys.modules]))
+    """
+    assert _fresh(code, *argv) == [0, False]
+
+
+@pytest.mark.parametrize("first", ["import addcomb.sweep", "from addcomb import sweep"])
+def test_package_sweep_is_the_function_in_every_import_order(first):
+    code = """if True:
+        import json, sys
+        %s
+        import addcomb.sweep
+        from addcomb import sweep
+        import addcomb
+        print(json.dumps([addcomb.sweep is sweep, callable(sweep),
+                          sys.modules["addcomb.sweep"].sweep is sweep]))
+    """ % first
+    assert _fresh(code) == [True, True, True]
+
+
+def test_parallel_sweep_that_loads_numpy_equals_serial():
+    # cyclic:13 CD-1813 evaluates 631 orbit rows: two chunks, so jobs=2
+    # reaches the pool, and the workers are forked from the process whose
+    # first sweep has just bound numpy
+    sweep_mod = sys.modules["addcomb.sweep"]
+    ctx = sweep_mod._SweepContext(ac.cyclic(13), "CD-1813", None)
+    orbit_rows = sum(1 for w in ctx.weight.tolist() if w)
+    assert len(range(0, orbit_rows, sweep_mod.CHUNK)) == 2
+    code = """if True:
+        import json, sys
+        import addcomb as ac
+        before = "numpy" in sys.modules
+        A = ac.cyclic(13)
+        parallel = ac.sweep(A, "CD-1813", jobs=2).to_json_dict()
+        serial = ac.sweep(A, "CD-1813", jobs=1).to_json_dict()
+        print(json.dumps([before, parallel == serial, serial["tight"] > 0]))
+    """
+    assert _fresh(code) == [False, True, True]

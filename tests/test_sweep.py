@@ -191,21 +191,32 @@ def test_capped_sweeps_above_16_elements_match_scalar_verifiers():
         assert not _assert_capped_sweep_matches_scalar(A, statement, 2)
 
 
+def _unreduced_two_chunk_case():
+    """Kemperman-weak on dihedral:16 at cap 2: p = 2, so its gate opens
+    every row, |X| <= 2, and span commutativity is not invariant under left
+    translation, so none is reduced; the 528 rows fill two chunks."""
+    A = ac.dihedral(16)
+    ctx = sweep_mod._SweepContext(A, "Kemperman-weak", 2)
+    assert ctx.weight is None and len(ctx.rows) == len(ctx.cols) == 528
+    assert len(range(0, len(ctx.rows), sweep_mod.CHUNK)) == 2
+    return A, "Kemperman-weak", 2
+
+
 def test_block_boundaries_leave_the_summary_unchanged(monkeypatch):
-    A = ac.dihedral(5)
-    # Thm2.2 runs 3-row blocks of orbit rows, some of mixed weights;
-    # Kemperman-weak is not reduced, so its 1023 rows split both chunks
-    statements = ("Thm2.2", "Kemperman-weak")
-    want = {st: ac.sweep(A, st) for st in statements}
-    monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 << A.n)
-    assert sweep_mod._SweepContext(A, "Thm2.2", None).weight is not None
-    assert sweep_mod._SweepContext(A, "Kemperman-weak", None).weight is None
-    for st in statements:
-        assert sweep_mod._SweepContext(A, st, None).block == 3
-        got = ac.sweep(A, st)
+    # Thm2.2 on dihedral:5 runs 3-row blocks of orbit rows, some of mixed
+    # weights; the unreduced case runs them across both chunks
+    D5 = ac.dihedral(5)
+    assert sweep_mod._SweepContext(D5, "Thm2.2", None).weight is not None
+    for A, st, cap in ((D5, "Thm2.2", None), _unreduced_two_chunk_case()):
+        want = ac.sweep(A, st, max_size=cap)
+        n_cols = len(sweep_mod._SweepContext(A, st, cap).cols)
+        monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 * n_cols)
+        assert sweep_mod._SweepContext(A, st, cap).block == 3
+        got = ac.sweep(A, st, max_size=cap)
+        monkeypatch.undo()
         assert got.tight > 0 and got.first_tight is not None
-        assert got == want[st]
-        assert got.to_json_dict() == want[st].to_json_dict()
+        assert got == want
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
@@ -431,24 +442,25 @@ def test_sweep_statement_carrier_mismatch():
 
 
 def test_parallel_summary_identical_to_serial():
-    A = ac.dihedral(5)  # 1023 X masks: two chunks
-    # Thm2.2 is orbit-reduced to one chunk; Kemperman-weak is not reduced
-    for statement in ("Thm2.2", "Kemperman-weak"):
-        s1 = ac.sweep(A, statement, jobs=1)
-        s4 = ac.sweep(A, statement, jobs=4)
+    # Thm2.2 on dihedral:5 is orbit-reduced to one chunk; the unreduced case
+    # spans two, so jobs=4 reaches the pool
+    for A, statement, cap in ((ac.dihedral(5), "Thm2.2", None), _unreduced_two_chunk_case()):
+        s1 = ac.sweep(A, statement, max_size=cap, jobs=1)
+        s4 = ac.sweep(A, statement, max_size=cap, jobs=4)
+        assert s1.tight > 0
         assert s1 == s4
         b1 = json.dumps(s1.to_json_dict(), sort_keys=True, separators=(",", ":"))
         b4 = json.dumps(s4.to_json_dict(), sort_keys=True, separators=(",", ":"))
         assert b1 == b4
-    assert sweep_mod._SweepContext(A, "Kemperman-weak", None).weight is None
 
 
 def test_interleaved_parallel_sweeps_keep_their_own_context(monkeypatch):
     # a second parallel sweep that runs while the first one's pool is being
     # made, as one in another thread can, must not change the context that
     # the first pool's workers evaluate
-    A = ac.dihedral(5)
-    want = {st: ac.sweep(A, st) for st in ("Kemperman-weak", "Cor2.7")}
+    A, statement, cap = _unreduced_two_chunk_case()
+    D5 = ac.dihedral(5)
+    want = ac.sweep(A, statement, max_size=cap), ac.sweep(D5, "Cor2.7")
     fork = multiprocessing.get_context("fork")
     inner = []
 
@@ -456,15 +468,16 @@ def test_interleaved_parallel_sweeps_keep_their_own_context(monkeypatch):
         def Pool(self, *args, **kwargs):
             if not inner:
                 inner.append(None)
-                inner[0] = ac.sweep(A, "Cor2.7", jobs=2)
+                inner[0] = ac.sweep(D5, "Cor2.7", jobs=2)
             return fork.Pool(*args, **kwargs)
 
     shim = types.SimpleNamespace(get_context=lambda method: Interleaving())
     monkeypatch.setattr(sweep_mod, "multiprocessing", shim)
     monkeypatch.setattr(sweep_mod, "CHUNK", 16)  # Cor2.7's 41 open rows: 3 chunks
-    outer = ac.sweep(A, "Kemperman-weak", jobs=2)
-    assert outer == want["Kemperman-weak"]
-    assert inner[0] == want["Cor2.7"]
+    outer = ac.sweep(A, statement, max_size=cap, jobs=2)
+    assert inner and want[0].tight > 0
+    assert outer == want[0]
+    assert inner[0] == want[1]
 
 
 def test_repeat_runs_identical():
