@@ -6,167 +6,76 @@ order-based bound constants, the candidate-driven set transform with its
 audit, localization via systems of distinct representatives, and ships a
 vectorized harness that exhaustively verifies every catalogued bound on
 small carriers.
+
+The names of core, errors and sweep are bound on import; every other name
+imports its submodule on first access (PEP 562).
 """
 
-from .constants import (
-    OmegaBreakdown,
-    cd_constant,
-    delta,
-    omega,
-    omega_gcd_crosscheck,
-    omega_pair,
-    pillai_delta,
-)
-from .core import (
-    INFINITY,
-    MAX_CARRIER,
-    ElementSet,
-    ExtendedNat,
-    FiniteSemigroup,
-    build_semigroup,
-    centralizer,
-    cyclic,
-    dihedral,
-    element_order,
-    generated_subsemigroup,
-    leftzero,
-    maxchain,
-    p_constant,
-    parse_cayley_text,
-    product,
-    quaternion8,
-    unitization,
-)
-from .errors import (
-    AddcombError,
-    BadZ,
-    CandidateInvalid,
-    CarrierTooLarge,
-    EmptySet,
-    EmptyTransform,
-    IndexOutOfRange,
-    NoWitness,
-    NonAssociative,
-    NotGroup,
-    NotUnital,
-    ParseError,
-    PreconditionFailed,
-    TheoremViolated,
-    UnknownSpec,
-    ValidationError,
-)
-from .localization import (
-    LocalizationResult,
-    SumMatrix,
-    hall_check,
-    localize,
-    sum_matrix,
-)
-from .setops import (
-    left_difference,
-    n_fold,
-    right_difference,
-    span_check,
-    span_is_commutative,
-    sumset,
-)
-from .sweep import SweepSummary, TightPair, Violation, sweep
-from .theorems import (
-    STATEMENTS,
-    BoundReport,
-    builtin_groups,
-    builtin_monoids,
-    normalize_statement,
-    run_statement,
-    verify_cd,
-    verify_hk,
-    verify_kemperman_weak,
-    verify_main,
-    verify_mirror,
-    verify_zmod,
-)
-from .transform import (
-    TransformAudit,
-    TransformResult,
-    apply_transform,
-    audit_transform,
-    transform_candidates,
-)
+# each submodule and the public names it exports
+_EXPORTS = {
+    "constants": (
+        "OmegaBreakdown", "cd_constant", "delta", "omega", "omega_gcd_crosscheck",
+        "omega_pair", "pillai_delta",
+    ),
+    "core": (
+        "INFINITY", "MAX_CARRIER", "ElementSet", "ExtendedNat", "FiniteSemigroup",
+        "build_semigroup", "centralizer", "cyclic", "dihedral", "element_order",
+        "generated_subsemigroup", "leftzero", "maxchain", "p_constant",
+        "parse_cayley_text", "product", "quaternion8", "unitization",
+    ),
+    "errors": (
+        "AddcombError", "BadZ", "CandidateInvalid", "CarrierTooLarge", "EmptySet",
+        "EmptyTransform", "IndexOutOfRange", "NoWitness", "NonAssociative",
+        "NotGroup", "NotUnital", "ParseError", "PreconditionFailed",
+        "TheoremViolated", "UnknownSpec", "ValidationError",
+    ),
+    "localization": (
+        "LocalizationResult", "SumMatrix", "hall_check", "localize", "sum_matrix",
+    ),
+    "setops": (
+        "left_difference", "n_fold", "right_difference", "span_check",
+        "span_is_commutative", "sumset",
+    ),
+    # the sweep function replaces the package attribute that importing its
+    # module sets, which a lazy lookup could not do in every import order
+    "sweep": ("SweepSummary", "TightPair", "Violation", "sweep"),
+    "theorems": (
+        "STATEMENTS", "BoundReport", "builtin_groups", "builtin_monoids",
+        "normalize_statement", "run_statement", "verify_cd", "verify_hk",
+        "verify_kemperman_weak", "verify_main", "verify_mirror", "verify_zmod",
+    ),
+    "transform": (
+        "TransformAudit", "TransformResult", "apply_transform", "audit_transform",
+        "transform_candidates",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AddcombError",
-    "BadZ",
-    "BoundReport",
-    "CandidateInvalid",
-    "CarrierTooLarge",
-    "ElementSet",
-    "EmptySet",
-    "EmptyTransform",
-    "ExtendedNat",
-    "FiniteSemigroup",
-    "INFINITY",
-    "IndexOutOfRange",
-    "LocalizationResult",
-    "MAX_CARRIER",
-    "NoWitness",
-    "NonAssociative",
-    "NotGroup",
-    "NotUnital",
-    "OmegaBreakdown",
-    "ParseError",
-    "PreconditionFailed",
-    "STATEMENTS",
-    "SumMatrix",
-    "SweepSummary",
-    "TheoremViolated",
-    "TightPair",
-    "TransformAudit",
-    "TransformResult",
-    "UnknownSpec",
-    "ValidationError",
-    "Violation",
-    "apply_transform",
-    "audit_transform",
-    "build_semigroup",
-    "builtin_groups",
-    "builtin_monoids",
-    "cd_constant",
-    "centralizer",
-    "cyclic",
-    "delta",
-    "dihedral",
-    "element_order",
-    "generated_subsemigroup",
-    "hall_check",
-    "left_difference",
-    "leftzero",
-    "localize",
-    "maxchain",
-    "n_fold",
-    "normalize_statement",
-    "omega",
-    "omega_gcd_crosscheck",
-    "omega_pair",
-    "p_constant",
-    "parse_cayley_text",
-    "pillai_delta",
-    "product",
-    "quaternion8",
-    "right_difference",
-    "run_statement",
-    "span_check",
-    "span_is_commutative",
-    "sum_matrix",
-    "sumset",
-    "sweep",
-    "transform_candidates",
-    "unitization",
-    "verify_cd",
-    "verify_hk",
-    "verify_kemperman_weak",
-    "verify_main",
-    "verify_mirror",
-    "verify_zmod",
-]
+__all__ = sorted(_OWNER)
+
+
+def _submodule(name: str):
+    # the path of the import statement, which -X importtime reports and
+    # importlib.import_module does not
+    return __import__(name, globals(), level=1)
+
+
+for _module in ("core", "errors", "sweep"):
+    _mod = _submodule(_module)
+    globals().update((name, getattr(_mod, name)) for name in _EXPORTS[_module])
+del _module, _mod
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _submodule(name)
+    if name not in _OWNER:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(_submodule(_OWNER[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

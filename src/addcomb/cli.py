@@ -22,13 +22,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .constants import omega
 from .core import (
     ElementSet,
     FiniteSemigroup,
     cyclic,
     dihedral,
+    int_literal,
     leftzero,
     maxchain,
     parse_cayley_text,
@@ -41,17 +42,10 @@ from .errors import (
     TheoremViolated,
     UnknownSpec,
 )
-from .localization import localize, sum_matrix
-from .setops import sumset
 from .sweep import SweepSummary, sweep
-from .theorems import (
-    HYPOTHESIS_FAILURE_TEXT,
-    BoundReport,
-    normalize_statement,
-    run_statement,
-    verify_hk,
-)
-from .transform import apply_transform, audit_transform, transform_candidates
+
+if TYPE_CHECKING:
+    from .theorems import BoundReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,7 +105,7 @@ def _parse_spec(text: str) -> FiniteSemigroup:
 
 def _int_arg(rest: str, whole: str) -> int:
     try:
-        return int(rest.strip(), 10)
+        return int_literal(rest.strip())
     except ValueError:
         raise ParseError(
             "expected an integer argument in %r, got %r" % (whole, rest)
@@ -188,7 +182,8 @@ def _load_labels(path: str, n: int) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             names = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL in the path, or a file that is not UTF-8
         raise ParseError("cannot read labels file %r: %s" % (path, exc)) from None
     if len(names) < n:
         raise ParseError(
@@ -208,6 +203,8 @@ def _set(S: ElementSet, labels) -> str:
 
 
 def _render_bound(rep: BoundReport, prefix: str = "") -> str:
+    from .theorems import HYPOTHESIS_FAILURE_TEXT
+
     if not rep.applicable:
         reasons = ", ".join(
             HYPOTHESIS_FAILURE_TEXT[name] for name in rep.failed_hypotheses()
@@ -251,11 +248,15 @@ def _render_audit_item(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (kind, payload, human text, exit code)
+# Subcommand handlers: each returns (kind, payload, human text, exit code).
+# Each imports the library modules it uses when it runs, so that a process
+# loads only those of its own command.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_sumset(args, A, labels):
+    from .setops import sumset
+
     X = ElementSet.parse(args.x, A.n)
     Y = ElementSet.parse(args.y, A.n)
     S = sumset(A, X, Y)
@@ -264,6 +265,8 @@ def _cmd_sumset(args, A, labels):
 
 
 def _cmd_omega(args, A, labels):
+    from .constants import omega
+
     Z = ElementSet.parse(args.z, A.n)
     breakdown = omega(A, Z)
     payload = {
@@ -279,6 +282,8 @@ def _cmd_omega(args, A, labels):
 
 
 def _cmd_verify(args, A, labels):
+    from .theorems import normalize_statement, run_statement, verify_hk
+
     statement = normalize_statement(args.statement)
     X = ElementSet.parse(args.x, A.n)
     Y = ElementSet.parse(args.y, A.n)
@@ -304,6 +309,8 @@ def _cmd_sweep(args, A, labels):
 
 
 def _cmd_transform(args, A, labels):
+    from .transform import apply_transform, audit_transform, transform_candidates
+
     X = ElementSet.parse(args.x, A.n)
     Y = ElementSet.parse(args.y, A.n)
     candidates = transform_candidates(A, X, Y, m=args.m)
@@ -359,6 +366,8 @@ def _cmd_transform(args, A, labels):
 
 
 def _cmd_localize(args, A, labels):
+    from .localization import localize, sum_matrix
+
     X = ElementSet.parse(args.x, A.n)
     Y = ElementSet.parse(args.y, A.n)
     Z = ElementSet.parse(args.z, A.n) if args.z is not None else None
@@ -420,7 +429,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str) -> int:
     """argparse type for counts and sizes: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
     return int(text)
 
@@ -468,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--m", type=_positive_int, default=1, help="fold count for the X part")
-    p.add_argument("--z", type=int, default=None, help="candidate element (default: smallest)")
+    p.add_argument("--z", type=int_literal, default=None, help="candidate element (default: smallest)")
 
     p = sub.add_parser("localize", help="distinct representatives in the sum matrix")
     common(p)

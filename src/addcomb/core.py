@@ -57,6 +57,17 @@ def iter_bits(mask: int) -> list[int]:
     return bits
 
 
+def int_literal(token: str) -> int:
+    """The value of token, an integer literal -?[0-9]+.
+
+    Raises ValueError on anything else, such as '+7', '1_0', ' 3' or
+    non-ASCII digits, all of which int(token, 10) would take."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid integer literal %r" % token)
+    return int(token)
+
+
 @functools.total_ordering
 class ExtendedNat:
     """A natural number extended with a single infinite value.
@@ -198,7 +209,7 @@ class ElementSet:
             if not token:
                 raise ParseError("set literal %r: empty element token" % text)
             try:
-                elements.append(int(token, 10))
+                elements.append(int_literal(token))
             except ValueError:
                 raise ParseError(
                     "set literal %r: %r is not an integer" % (text, token)
@@ -439,7 +450,7 @@ def parse_cayley_text(text: str, label: str = "cayley") -> FiniteSemigroup:
         raise ParseError("empty table file")
     head = lines[0].strip()
     try:
-        n = int(head, 10)
+        n = int_literal(head)
     except ValueError:
         raise ParseError("first line must be the carrier size, got %r" % head) from None
     if n < 1:
@@ -454,7 +465,7 @@ def parse_cayley_text(text: str, label: str = "cayley") -> FiniteSemigroup:
         row = []
         for tok in tokens:
             try:
-                row.append(int(tok, 10))
+                row.append(int_literal(tok))
             except ValueError:
                 raise ParseError("row %d: %r is not an integer" % (i, tok)) from None
         table.append(row)

@@ -41,7 +41,10 @@ exact.
 
 numpy is imported by _load_numpy, which binds the module global np when the
 first _SweepContext is built, so importing the package does not load it;
-forked workers inherit the binding.
+forked workers inherit the binding.  Likewise multiprocessing is bound by
+_evaluate when it makes the first pool, unless the global is already set,
+so a jobs=1 sweep never loads it; theorems is imported by sweep and by the
+CD-1813 features, where they use it.
 
 Determinism contract: the evaluated X rows are split into fixed-size
 chunks (CHUNK rows each, independent of the worker count), chunks are
@@ -55,13 +58,11 @@ the machine-readable dictionary.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 
 from .core import ElementSet, FiniteSemigroup, iter_bits
 from .errors import CarrierTooLarge, NotGroup
-from .theorems import _is_prime, is_standard_cyclic, normalize_statement, statement_info
 
 CHUNK = 512
 VECTOR_LIMIT = 16
@@ -70,6 +71,7 @@ _MAX_RECORDED = 64
 _BLOCK_PAIRS = 1 << 16  # pairs per kernel block; bounds its temporaries
 
 np = None  # numpy, once _load_numpy has run
+multiprocessing = None  # bound by _evaluate when it makes the first pool
 
 
 def _load_numpy() -> None:
@@ -224,6 +226,8 @@ class _SweepContext:
         n = self.n
         canc = self.A.is_cancellative
         if s == "CD-1813":
+            from .theorems import _is_prime
+
             g = self.A.is_group and _is_prime(n)
             return g, g, n, n
         if s == "HK":
@@ -439,11 +443,14 @@ def _worker_run(xs, w):
 def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
     """The tallies of rows, row i counted weight[i] times, one per chunk of
     CHUNK rows, in chunk order."""
+    global multiprocessing
     chunks = [
         (rows[i : i + CHUNK], weight[i : i + CHUNK]) for i in range(0, len(rows), CHUNK)
     ]
     if jobs <= 1 or len(chunks) <= 1:
         return [ctx.eval_chunk(xs, w) for xs, w in chunks]
+    if multiprocessing is None:
+        import multiprocessing
     # forked workers inherit the context built here: under fork, initargs
     # reach each child through the fork and are not pickled
     with multiprocessing.get_context("fork").Pool(
@@ -495,6 +502,8 @@ def sweep(
     fixed-size chunks of the X space over worker processes; the summary is
     identical (byte-identical once serialized) for every jobs value.
     """
+    from .theorems import is_standard_cyclic, normalize_statement, statement_info
+
     started = time.monotonic()
     statement = normalize_statement(statement)
     info = statement_info(statement)

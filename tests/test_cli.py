@@ -292,6 +292,37 @@ def test_labels_rendering(capsys, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_labels_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(b"\xff\xfe")
+    report, code, out, err = run_capture(
+        capsys,
+        ["sumset", "--semigroup", "cyclic:2", "--labels", str(path), "--x", "{0}", "--y", "{0}"],
+    )
+    assert report is None and code == cli.EXIT_USAGE and not out
+    assert err.startswith("error: cannot read labels file")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sumset", "--semigroup", "cyclic:1_2", "--x", "{0}", "--y", "{0}"],
+        ["sumset", "--semigroup", "cyclic:+7", "--x", "{0}", "--y", "{0}"],
+        ["sumset", "--semigroup", "cyclic:16", "--x", "{1_0, \u0663}", "--y", "{0}"],
+        ["sweep", "--semigroup", "cyclic:5", "--statement", "cd", "--jobs", "\u0662"],
+        ["sweep", "--semigroup", "cyclic:5", "--statement", "cd", "--max-size", "+2"],
+        ["transform", "--semigroup", "cyclic:8", "--x", "{0,1}", "--y", "{0,1,2}", "--z", "4_0"],
+    ],
+    ids=["spec-underscore", "spec-plus", "set-literal", "jobs", "max-size", "z"],
+)
+def test_integers_are_ascii_digit_literals_only(capsys, argv):
+    report, code, out, err = run_capture(capsys, argv)
+    assert report is None and code == cli.EXIT_USAGE and not out, err
+    assert err.startswith(("error:", "usage error:"))
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_localize_human(capsys):
     report, code, out, err = run_capture(
         capsys, ["localize", "--semigroup", "cyclic:5", "--x", "{0,1}", "--y", "{0,1,2}"]
@@ -519,6 +550,96 @@ def test_package_sweep_is_the_function_in_every_import_order(first):
                           sys.modules["addcomb.sweep"].sweep is sweep]))
     """ % first
     assert _fresh(code) == [True, True, True]
+
+
+# ---------------------------------------------------------------------------
+# Start-up: a process loads only the modules that its command uses
+# ---------------------------------------------------------------------------
+
+# the library modules that no spec parsing and no carrier build needs
+UNUSED_AT_SETUP = [
+    "addcomb.theorems",
+    "addcomb.constants",
+    "addcomb.setops",
+    "addcomb.localization",
+    "addcomb.transform",
+    "multiprocessing",
+    "numpy",
+]
+
+
+def test_parsing_the_query_carriers_loads_only_core_errors_and_sweep():
+    code = """if True:
+        import json, sys
+        from addcomb.cli import parse_spec
+        for spec in sys.argv[1:]:
+            parse_spec(spec)
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("addcomb"))
+                         + [m for m in %r if m in sys.modules]))
+    """ % UNUSED_AT_SETUP
+    assert _fresh(code, *QUERY_CARRIERS) == [
+        "addcomb", "addcomb.cli", "addcomb.core", "addcomb.errors", "addcomb.sweep"
+    ]
+
+
+def test_sumset_command_loads_neither_localization_nor_transform():
+    code = """if True:
+        import json, sys
+        from addcomb.cli import main
+        code = main(sys.argv[1:])
+        print(json.dumps([code] + [m for m in %r if m in sys.modules]))
+    """ % UNUSED_AT_SETUP
+    assert _fresh(code, *NON_SWEEP_COMMANDS[0]) == [0, "addcomb.setops"]
+
+
+def test_only_a_parallel_sweep_loads_multiprocessing():
+    # cyclic:13 CD-1813 evaluates two chunks of orbit rows (see below)
+    code = """if True:
+        import json, sys
+        import addcomb as ac
+        loaded = []
+        for jobs in (1, 2):
+            ac.sweep(ac.cyclic(13), "CD-1813", jobs=jobs)
+            loaded.append("multiprocessing" in sys.modules)
+        print(json.dumps(loaded))
+    """
+    assert _fresh(code) == [False, True]
+
+
+def test_every_public_name_is_the_object_of_its_submodule():
+    # names resolve lazily first, before any library submodule is imported
+    # by hand; a name defined in several submodules is one re-exported object
+    code = """if True:
+        import importlib, json, pkgutil, sys
+        import addcomb
+        values = {name: getattr(addcomb, name) for name in addcomb.__all__}
+        modules = [importlib.import_module("addcomb." + m.name)
+                   for m in pkgutil.iter_modules(addcomb.__path__)]
+        bad = [name for name, value in values.items()
+               if not any(name in vars(m) for m in modules)
+               or any(vars(m).get(name, value) is not value for m in modules)]
+        print(json.dumps([len(values), bad]))
+    """
+    assert _fresh(code) == [len(ac.__all__), []]
+
+
+def test_star_import_dir_and_unknown_names():
+    code = """if True:
+        import json, sys
+        import addcomb
+        listed = set(dir(addcomb))
+        names = {}
+        exec("from addcomb import *", names)
+        try:
+            addcomb.no_such_name
+            unknown = "resolved"
+        except AttributeError:
+            unknown = "AttributeError"
+        print(json.dumps([sorted(set(addcomb.__all__) - listed),
+                          sorted(set(addcomb.__all__) - set(names)),
+                          unknown, hasattr(addcomb, "no_such_name")]))
+    """
+    assert _fresh(code) == [[], [], "AttributeError", False]
 
 
 def test_parallel_sweep_that_loads_numpy_equals_serial():

@@ -3,18 +3,21 @@ literals and Cayley table files.
 
 Whatever the text, a parser returns a value or raises ParseError or
 ValidationError (each of which the CLI turns into one line and exit 1 or
-2); any other exception is a bug in the parser.
+2); any other exception is a bug in the parser.  Every integer that these
+parsers or the command-line options accept is written -?[0-9]+.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import addcomb as ac
+from addcomb import cli
 from addcomb.cli import parse_spec
 
 SETTINGS = settings(
@@ -130,3 +133,54 @@ def _cayley_texts():
 @given(_cayley_texts())
 def test_cayley_text_parser_raises_only_parse_or_validation_errors(text):
     _assert_only_allowed(ac.parse_cayley_text, text)
+
+
+# the documented integer literal, and text that int(token, 10) would take
+# for one: other digits, signs, underscores and blanks
+LITERAL = re.compile(r"-?[0-9]+")
+NUMERALS = st.one_of(
+    INT_TEXT, st.text(alphabet="0123456789-+_ \u0662\u0663\u00b2\uff11", max_size=5)
+)
+
+
+def _accepted(parse, *args):
+    try:
+        return parse(*args)
+    except ALLOWED:
+        return None
+
+
+def _parsed_options(argv):
+    try:
+        return cli.build_parser().parse_args(argv)
+    except cli._UsageError:
+        return None
+
+
+@SETTINGS
+@given(NUMERALS)
+def test_every_accepted_integer_is_an_ascii_digit_literal(token):
+    # the text parsers strip the blanks around a token; argparse does not
+    stripped = token.strip()
+    assume(stripped)
+    # no parser takes more digits than Python's int-from-text limit
+    short = LITERAL.fullmatch(stripped) and len(stripped) <= 4300
+    value = int(stripped) if short else None
+    A = _accepted(parse_spec, "cyclic:" + token)
+    assert A is None or A.n == value
+    S = _accepted(ac.ElementSet.parse, "{%s}" % token, ac.MAX_CARRIER)
+    assert S is None or S.elements() == (value,)
+    # a one-element table is valid only as [[0]], under the size line 1
+    assert _accepted(ac.parse_cayley_text, "1\n%s\n" % token) is None or value == 0
+    assert _accepted(ac.parse_cayley_text, "%s\n0\n" % token) is None or value == 1
+
+    sweep = ["sweep", "--semigroup", "cyclic:5", "--statement", "cd"]
+    transform = ["transform", "--semigroup", "cyclic:5", "--x", "{0}", "--y", "{0}"]
+    for argv, dest in (
+        (sweep + ["--jobs", token], "jobs"),
+        (sweep + ["--max-size", token], "max_size"),
+        (transform + ["--m", token], "m"),
+        (transform + ["--z", token], "z"),
+    ):
+        args = _parsed_options(argv)
+        assert args is None or (LITERAL.fullmatch(token) and getattr(args, dest) == int(token))
