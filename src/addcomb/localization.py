@@ -165,6 +165,8 @@ def _max_matching(rows: list[int], n: int) -> list[int | None]:
 
     Deterministic: rows are processed in index order and candidate elements
     in ascending order, so the same input always yields the same matching.
+    It stops at the first row that no augmenting path reaches, which stays
+    None with every row after it.
     """
     owner: list[int | None] = [None] * n
     matched: list[int | None] = [None] * len(rows)
@@ -181,7 +183,8 @@ def _max_matching(rows: list[int], n: int) -> list[int | None]:
         return False
 
     for i in range(len(rows)):
-        augment(i, [False] * n)
+        if not augment(i, [False] * n):
+            break
     return matched
 
 
@@ -214,21 +217,15 @@ def hall_check(sets: list[ElementSet]) -> tuple[bool, tuple[int, ...] | None]:
                 return (False, tuple(iter_bits(sub)))
         return (True, None)
 
-    owner: list[int | None] = [None] * n
-
-    def augment(i: int, seen_rows: set, seen: list[bool]) -> bool:
-        seen_rows.add(i)
+    matched = _max_matching(masks, n)
+    if None not in matched:
+        return (True, None)
+    # the failed search from the first unmatched row visited every row that
+    # an alternating path reaches, and their union is too small
+    owner = {e: i for i, e in enumerate(matched) if e is not None}
+    reached = [matched.index(None)]
+    for i in reached:
         for e in iter_bits(masks[i]):
-            if seen[e]:
-                continue
-            seen[e] = True
-            if owner[e] is None or augment(owner[e], seen_rows, seen):
-                owner[e] = i
-                return True
-        return False
-
-    for i in range(k):
-        seen_rows: set = set()
-        if not augment(i, seen_rows, [False] * n):
-            return (False, tuple(sorted(seen_rows)))
-    return (True, None)
+            if owner[e] not in reached:
+                reached.append(owner[e])
+    return (False, tuple(sorted(reached)))

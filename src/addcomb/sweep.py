@@ -1,15 +1,16 @@
 """Exhaustive verification sweeps over all subset pairs of a small carrier.
 
 One vectorized engine runs every sweep.  It evaluates a block of
-max(1, 2^16 // columns) X rows against all Y columns at once.  Each
-statement is a row and a column gate and a row and a column bound u, v, all
-per-column features built once.  rhs = min(max(u[X], v[Y]), |X| + |Y| - 1)
-is compared in uint8 with the bounds clipped to n + 1, exact since
-|X + Y| <= n; witnesses carry the unclipped value.
+max(1, 2^16 // columns) X rows against all Y columns at once.  A statement
+is its theorems catalog entry read on arrays built once per column: a row
+and a column gate and a row and a column bound u, v.  The right side
+min(max(u[X], v[Y]), |X| + |Y| - 1) is compared in uint8 with the bounds
+clipped to n + 1, exact since |X + Y| <= n; witnesses carry the unclipped
+value.
 
 Each column is also held as idx, a row of its element indices padded with
 its first element, which the features and both |X + Y| paths read.  The
-features are numpy reductions over idx: omega, delta, Pillai's delta and
+features are numpy reductions over idx: omega, delta, pillai_delta and
 span commutativity (S commutes pairwise) are each an outer max, min or AND
 over z0 in S of an inner min, max or AND over z in S of an n x n matrix:
 ord(z - z0), gcd(n, z - z0) and whether z and z0 commute.
@@ -29,22 +30,21 @@ size cap alone:
   count of the OR of r over the elements of Y in idx, in uint64.
 
 Rows.  An X row whose gate is closed holds no applicable pair, so it is
-not evaluated (Kemperman-weak, which takes either gate, evaluates every
-row of at most cap_limit elements).  In a group, a left translate g + X
-has the same |X| and the same |X + Y| as X.  When the row gate and u are
-also equal on every left-translation orbit, which is checked on the built
-arrays g by g, only the least mask of each orbit is evaluated, and its
-counts are weighted by the orbit size.  first_tight does not change, since
-the first X with a tight pair is the least of its orbit; a reduced sweep
-that finds a violation is run again unreduced, so that the witness list is
-exact.
+not evaluated (under either gate, every row of at most cap_limit elements
+is).  In a group, a left translate g + X has the same |X| and the same
+|X + Y| as X.  When the row gate and u are also equal on every
+left-translation orbit, which is checked on the built arrays g by g, only
+the least mask of each orbit is evaluated, and its counts are weighted by
+the orbit size.  first_tight does not change, since the first X with a
+tight pair is the least of its orbit; a reduced sweep that finds a
+violation is run again unreduced, so that the witness list is exact.
 
 numpy is imported by _load_numpy, which binds the module global np when the
 first _SweepContext is built, so importing the package does not load it;
 forked workers inherit the binding.  Likewise multiprocessing is bound by
 _evaluate when it makes the first pool, unless the global is already set,
 so a jobs=1 sweep never loads it; theorems is imported by sweep and by the
-CD-1813 features, where they use it.
+context's gates and bounds, where they use it.
 
 Determinism contract: the evaluated X rows are split into fixed-size
 chunks (CHUNK rows each, independent of the worker count), chunks are
@@ -57,6 +57,7 @@ the machine-readable dictionary.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -197,64 +198,61 @@ class _SweepContext:
             # M[x, j] = bit mask of the single element x + j
             self.M = np.array(A._bit_table, dtype=np.uint64)
 
-        self.p_const = _INF if A._p is None else A._p
-        gx, gy, self.u, self.v = (
-            np.broadcast_to(f, n_cols) for f in self._features(statement)
-        )
-        # Kemperman-weak needs either gate, and |X| + |Y| - 1 <= p
-        either = statement == "Kemperman-weak"
-        self.cap_limit = min(self.p_const, 2 * n) if either else None
-        if not either:
-            gy = gy & ok
+        gx, gy, u, v, either = self._gates_and_bounds(statement)
+        gx, gy, self.u, self.v = (np.broadcast_to(f, n_cols) for f in (gx, gy, u, v))
         # pairs outside the hypotheses get rhs 255; every bound below is
         # clipped to n + 1, which compares like any larger bound since
         # lhs <= n
         self.skip_x = np.where(gx, 0, 255).astype(np.uint8)
-        self.skip_y = np.where(gy, 0, 255).astype(np.uint8)
+        self.skip_y = np.where(gy & ok, 0, 255).astype(np.uint8)
         self.skip = np.bitwise_and if either else np.bitwise_or
         self.u8 = np.minimum(self.u, n + 1).astype(np.uint8)
         self.v8 = np.minimum(self.v, n + 1).astype(np.uint8)
-        # under either gate, a row of more than cap_limit elements holds no
-        # applicable pair
+        # under either gate, only rows of at most cap_limit elements count
         self.rows = np.flatnonzero(ok & (pc <= self.cap_limit) if either else ok & gx)
         self.weight = self._orbit_weights() if A.is_group else None
 
-    def _features(self, s: str):
-        """Statement s as a row gate, a column gate, a row bound u and a
-        column bound v, each an array over the columns or a scalar, so that
-        rhs(X, Y) = min(max(u[X], v[Y]), |X| + |Y| - 1)."""
-        n = self.n
-        canc = self.A.is_cancellative
-        if s == "CD-1813":
-            from .theorems import _is_prime
+    def _gates_and_bounds(self, statement: str):
+        """The catalog entry of statement as row and column gates and
+        bounds u, v, arrays over the columns or scalars, then whether one
+        open gate suffices.  Carrier tests close both gates; the size test
+        |X| + |Y| - 1 <= p sets cap_limit, which also gates every column
+        outside the size cap, as one open gate needs."""
+        from .theorems import _BOUNDS, _TESTS, CATALOG, HYPOTHESES
 
-            g = self.A.is_group and _is_prime(n)
-            return g, g, n, n
-        if s == "HK":
-            return True, True, self.p_const, self.p_const
-        if s == "Chowla":
-            # Y holds 0 and otherwise only units of Z_n
-            other = sum(1 << y for y in range(1, n) if math.gcd(n, y) != 1)
-            cols = self.cols
-            return True, (cols & 1 == 1) & (cols & other == 0), n, n
-        if s == "Pillai":
-            return True, True, 0, n // self._gcd_table(np.maximum)
-        if s == "Cor2.9":
-            nd = n // self._gcd_table(np.minimum)
-            return True, True, nd, nd
-        sc = canc
-        if not self.A.is_commutative:
-            sc &= self._commute_table()
-        if s == "Kemperman-weak":
-            return sc, sc, _INF, _INF
-        omega = self._omega_table()
-        if s == "Thm2.2":
-            return canc, sc, 0, omega
-        if s == "Cor2.4":
-            return sc, True, omega, 0
-        if s == "Cor2.7":
-            return sc, sc, omega, omega
-        raise ValueError("unknown statement %r" % s)  # pragma: no cover
+        A, n, cols = self.A, self.n, self.cols
+        non_units = sum(1 << z for z in range(1, n) if math.gcd(n, z) != 1)
+        # set tests and bounds over the columns; other bounds are the carrier's
+        arrays = {
+            "commutes": lambda: A.is_commutative or self._commute_table(),
+            "holds_zero": lambda: cols & 1 == 1,
+            "coprime": lambda: cols & non_units == 0,
+            "omega": self._omega_table,
+            "m/delta": lambda: n // self._gcd_table(np.minimum),
+            "m/pillai_delta": lambda: n // self._gcd_table(np.maximum),
+        }
+
+        @functools.cache
+        def column(key):
+            value = arrays[key]() if key in arrays else _BOUNDS[key](A, None)
+            return _INF if value is None else value
+
+        entry = CATALOG[statement]
+        self.cap_limit = None
+        gx = gy = True
+        either = False
+        for name in entry.hypotheses:
+            side, test, _ = HYPOTHESES[name]
+            if side == "carrier":
+                holds = _TESTS[test](A)
+                gx, gy = gx & holds, gy & holds
+            elif side == "size":
+                self.cap_limit = min(column("p"), 2 * n)
+            else:
+                either |= side == "either"
+                gx = gx if side == "y" else gx & column(test)
+                gy = gy if side == "x" else gy & column(test)
+        return gx, gy, column(entry.u), column(entry.v), either
 
     def _omega_table(self) -> np.ndarray:
         """omega of each column, _INF for a unit singleton."""
@@ -269,7 +267,7 @@ class _SweepContext:
         return np.where(omega == 255, _INF, omega.astype(np.int64))
 
     def _gcd_table(self, outer) -> np.ndarray:
-        """delta (outer np.minimum) or Pillai's delta (np.maximum) of each
+        """delta (outer np.minimum) or pillai_delta (np.maximum) of each
         column, over Z_n."""
         z = np.arange(self.n)
         g = np.gcd(self.n, (z[:, None] - z) % self.n)

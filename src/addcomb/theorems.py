@@ -8,32 +8,21 @@ when not applicable, and True/False otherwise; a False on an applicable pair
 would falsify a published theorem and is treated as an implementation bug by
 every caller.
 
-Statement catalog (ids are opaque tokens used by the CLI and reports):
-
-  CD-1813         prime-order group:  |X+Y| >= min(p, |X|+|Y|-1)
-  Thm2.2          cancellative, <Y> commutative:
-                  |X+Y| >= min(omega(Y), |X|+|Y|-1)
-  Cor2.4          mirror of Thm2.2 with omega(X) and <X> commutative
-  Cor2.7          both spans commutative: |X+Y| >= Omega(X,Y)
-  Kemperman-weak  cancellative, all non-identity orders >= |X|+|Y|-1,
-                  <X> or <Y> commutative:  |X+Y| >= |X|+|Y|-1
-  HK              group: |X+Y| >= min(p_constant, |X|+|Y|-1)
-  Chowla          integers mod m, 0 in Y, Y-{0} coprime to m:
-                  |X+Y| >= min(m, |X|+|Y|-1)
-  Pillai          integers mod m: |X+Y| >= min(m/delta_max(Y), |X|+|Y|-1)
-                  with delta_max the max pairwise gcd
-  Cor2.9          integers mod m: |X+Y| >= min(m/min(delta(X), delta(Y)),
-                  |X|+|Y|-1) with the min-max delta (sharper than Pillai)
+Each statement is one entry of CATALOG, which names its hypotheses and two
+bounds: its right side is min(max(u(X), v(Y)), |X| + |Y| - 1).  _evaluate
+reads an entry on one pair, for run_statement and every verify_* function;
+the sweep reads the same entries on arrays.  Statement ids are opaque
+tokens used by the CLI and reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 
 from .constants import (
     _capped,
     _cyclic_cached,
-    _gcd_row,
     _omega_max,
     _omega_value,
     delta,
@@ -53,42 +42,6 @@ from .core import (
 from .errors import EmptySet, NotGroup, ParseError, TheoremViolated
 from .setops import _commutes, _sumset_mask
 
-STATEMENTS = (
-    "CD-1813",
-    "Thm2.2",
-    "Cor2.4",
-    "Cor2.7",
-    "Kemperman-weak",
-    "HK",
-    "Chowla",
-    "Pillai",
-    "Cor2.9",
-)
-
-HYPOTHESIS_TEXT = {
-    "cancellative": "cancellative",
-    "span_y_commutative": "span(Y) commutative",
-    "span_x_commutative": "span(X) commutative",
-    "span_x_or_y_commutative": "span(X) or span(Y) commutative",
-    "group": "a group",
-    "prime_order": "of prime order",
-    "zero_in_y": "0 in Y",
-    "y_coprime_to_m": "Y-{0} coprime to m",
-    "orders_large_enough": "non-identity orders >= |X|+|Y|-1",
-}
-
-HYPOTHESIS_FAILURE_TEXT = {
-    "cancellative": "not cancellative",
-    "span_y_commutative": "span(Y) not commutative",
-    "span_x_commutative": "span(X) not commutative",
-    "span_x_or_y_commutative": "neither span(X) nor span(Y) commutative",
-    "group": "not a group",
-    "prime_order": "order not prime",
-    "zero_in_y": "0 not in Y",
-    "y_coprime_to_m": "Y has an element not coprime to m",
-    "orders_large_enough": "some non-identity order < |X|+|Y|-1",
-}
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -103,33 +56,178 @@ class BoundReport:
         return tuple(name for name, holds in self.hypotheses if not holds)
 
 
-def _report(statement, hypotheses, lhs, rhs) -> BoundReport:
-    applicable = all(holds for _, holds in hypotheses)
-    satisfied = (ExtendedNat(lhs) >= rhs) if applicable else None
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# name: (side, test, the text for its failure).  The test reads the side:
+# the carrier, X, Y, either set (it holds when it holds of X or of Y) or the
+# size |X| + |Y| - 1; the only size test is |X| + |Y| - 1 <= p.
+HYPOTHESES = {
+    "cancellative": ("carrier", "cancellative", "not cancellative"),
+    "span_y_commutative": ("y", "commutes", "span(Y) not commutative"),
+    "span_x_commutative": ("x", "commutes", "span(X) not commutative"),
+    "span_x_or_y_commutative": (
+        "either", "commutes", "neither span(X) nor span(Y) commutative"
+    ),
+    "group": ("carrier", "group", "not a group"),
+    "prime_order": ("carrier", "prime_order", "order not prime"),
+    "zero_in_y": ("y", "holds_zero", "0 not in Y"),
+    "y_coprime_to_m": ("y", "coprime", "Y has an element not coprime to m"),
+    "orders_large_enough": (
+        "size", "within_p", "some non-identity order < |X|+|Y|-1"
+    ),
+}
+HYPOTHESIS_FAILURE_TEXT = {name: text for name, (_, _, text) in HYPOTHESES.items()}
+
+
+# The tests on one pair: of the carrier A, of a set's mask, or of the size.
+_TESTS = {
+    "cancellative": lambda A: A.is_cancellative,
+    "group": lambda A: A.is_group,
+    "prime_order": lambda A: _is_prime(A.n),
+    "commutes": _commutes,
+    "holds_zero": lambda A, mask: mask & 1 == 1,
+    "coprime": lambda A, mask: all(gcd(A.n, z) == 1 for z in iter_bits(mask & ~1)),
+    "within_p": lambda A, need: A._p is None or A._p >= need,
+}
+
+# The bounds of one set S, None for infinity.  m is the carrier order n;
+# delta is the min-max gcd and pillai_delta the max pairwise gcd.  Module
+# globals are looked up on each call.
+_BOUNDS = {
+    "0": lambda A, S: 0,
+    "n": lambda A, S: A.n,
+    "p": lambda A, S: A._p,
+    "inf": lambda A, S: None,
+    "omega": lambda A, S: _omega_value(A, S.mask),
+    "m/delta": lambda A, S: A.n // delta(A.n, S),
+    "m/pillai_delta": lambda A, S: A.n // pillai_delta(A.n, S),
+}
+
+
+@dataclass(frozen=True)
+class _Statement:
+    """One catalog entry: |X + Y| >= min(max(u(X), v(Y)), |X| + |Y| - 1)
+    whenever the hypotheses hold, on a group, on the standard table of the
+    integers mod m, or on any carrier."""
+
+    hypotheses: tuple[str, ...]
+    u: str
+    v: str
+    needs_group: bool = False
+    needs_cyclic: bool = False
+
+
+CATALOG = {
+    # prime-order group: |X+Y| >= min(p, |X|+|Y|-1)
+    "CD-1813": _Statement(("group", "prime_order"), "n", "n"),
+    # cancellative, <Y> commutative: |X+Y| >= min(omega(Y), |X|+|Y|-1)
+    "Thm2.2": _Statement(("cancellative", "span_y_commutative"), "0", "omega"),
+    # mirror of Thm2.2 with omega(X) and <X> commutative
+    "Cor2.4": _Statement(("cancellative", "span_x_commutative"), "omega", "0"),
+    # both spans commutative: |X+Y| >= Omega(X,Y)
+    "Cor2.7": _Statement(
+        ("cancellative", "span_x_commutative", "span_y_commutative"), "omega", "omega"
+    ),
+    # cancellative, all non-identity orders >= |X|+|Y|-1, <X> or <Y>
+    # commutative: |X+Y| >= |X|+|Y|-1
+    "Kemperman-weak": _Statement(
+        ("cancellative", "orders_large_enough", "span_x_or_y_commutative"), "inf", "inf"
+    ),
+    # group: |X+Y| >= min(p_constant, |X|+|Y|-1)
+    "HK": _Statement(("group",), "p", "p", needs_group=True),
+    # integers mod m, 0 in Y, Y-{0} coprime to m: |X+Y| >= min(m, |X|+|Y|-1)
+    "Chowla": _Statement(("zero_in_y", "y_coprime_to_m"), "n", "n", needs_cyclic=True),
+    # integers mod m: |X+Y| >= min(m/pillai_delta(Y), |X|+|Y|-1)
+    "Pillai": _Statement((), "0", "m/pillai_delta", needs_cyclic=True),
+    # integers mod m: |X+Y| >= min(m/min(delta(X), delta(Y)), |X|+|Y|-1),
+    # sharper than Pillai
+    "Cor2.9": _Statement((), "m/delta", "m/delta", needs_cyclic=True),
+}
+STATEMENTS = tuple(CATALOG)
+
+# Dominance between entries: (weaker, sharper) -> (the statements whose
+# run_statement checks it, the TheoremViolated text).  Whenever both apply
+# to a pair, the sharper right side is at least the weaker one; that is a
+# theorem, so a failure is a bug.  Each statement that checks a pair needs
+# at least the carrier of the other.  Thm2.2, called most, leaves its pair
+# to HK.
+DOMINANCE = {
+    ("Pillai", "Cor2.9"): (
+        ("Pillai", "Cor2.9"),
+        "min-max delta bound fell below the max-pairwise-gcd bound: {sharper} < {weaker}",
+    ),
+    ("HK", "Thm2.2"): (
+        ("HK",),
+        "omega-based right side fell below the p-constant right side",
+    ),
+}
+
+
+def _hypotheses(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: ElementSet):
+    """The hypotheses of entry on a pair of non-empty sets, as (name,
+    holds), and whether they all hold."""
+    hyps = []
+    applicable = True
+    for name in entry.hypotheses:
+        side, key, _ = HYPOTHESES[name]
+        test = _TESTS[key]
+        if side == "carrier":
+            holds = test(A)
+        elif side == "x":
+            holds = test(A, X.mask)
+        elif side == "y":
+            holds = test(A, Y.mask)
+        elif side == "either":
+            holds = test(A, X.mask) or test(A, Y.mask)
+        else:
+            holds = test(A, len(X) + len(Y) - 1)
+        hyps.append((name, holds))
+        applicable = applicable and holds
+    return tuple(hyps), applicable
+
+
+def _rhs(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: ElementSet) -> int:
+    """The right side of entry on a pair of non-empty sets."""
+    bound = _omega_max(_BOUNDS[entry.u](A, X), _BOUNDS[entry.v](A, Y))
+    return _capped(bound, len(X) + len(Y) - 1)
+
+
+def _evaluate(A: FiniteSemigroup, statement: str, X: ElementSet, Y: ElementSet):
+    """The report of the catalog statement on (X, Y).  Raises NotGroup on a
+    carrier the statement is not about."""
+    entry = CATALOG[statement]
+    if entry.needs_cyclic and not A._standard_cyclic:
+        raise NotGroup(
+            "statement %s is about residues; the carrier must be cyclic:m "
+            "with the standard table" % statement
+        )
+    A.check_set(X)
+    A.check_set(Y)
+    if entry.needs_group and not A.is_group:
+        raise NotGroup("the p-constant bound is stated for groups")
+    if X.mask == 0 or Y.mask == 0:
+        raise EmptySet("bound verifiers need non-empty X and Y")
+    hyps, applicable = _hypotheses(A, entry, X, Y)
+    rhs = _rhs(A, entry, X, Y)
+    lhs = _sumset_mask(A, X.mask, Y.mask).bit_count()
     return BoundReport(
         statement=statement,
-        hypotheses=tuple(hypotheses),
+        hypotheses=hyps,
         lhs=lhs,
-        rhs=rhs,
+        rhs=ExtendedNat(rhs),
         applicable=applicable,
-        satisfied=satisfied,
+        satisfied=lhs >= rhs if applicable else None,
     )
 
 
-def _require_nonempty(X: ElementSet, Y: ElementSet):
-    if X.mask == 0 or Y.mask == 0:
-        raise EmptySet("bound verifiers need non-empty X and Y")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _dominate(rhs: dict[str, int]) -> None:
+    """Raise TheoremViolated when the right sides in rhs, by statement, of
+    statements that apply to one pair break a DOMINANCE pair."""
+    for (weaker, sharper), (_, text) in DOMINANCE.items():
+        if weaker in rhs and sharper in rhs and rhs[sharper] < rhs[weaker]:
+            raise TheoremViolated(text.format(sharper=rhs[sharper], weaker=rhs[weaker]))
 
 
 def is_standard_cyclic(A: FiniteSemigroup) -> bool:
@@ -137,34 +235,15 @@ def is_standard_cyclic(A: FiniteSemigroup) -> bool:
     return A._standard_cyclic
 
 
-def _lhs(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> int:
-    return _sumset_mask(A, X.mask, Y.mask).bit_count()
-
-
 def verify_cd(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport:
     """The classical prime-modulus bound min(p, |X|+|Y|-1)."""
-    A.check_set(X)
-    A.check_set(Y)
-    _require_nonempty(X, Y)
-    hyps = [("group", A.is_group), ("prime_order", _is_prime(A.n))]
-    lhs = _lhs(A, X, Y)
-    rhs = ExtendedNat(min(A.n, len(X) + len(Y) - 1))
-    return _report("CD-1813", hyps, lhs, rhs)
+    return _evaluate(A, "CD-1813", X, Y)
 
 
 def verify_main(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport:
     """|X+Y| >= min(omega(Y), |X|+|Y|-1) under cancellativity + commutative
     span of Y."""
-    A.check_set(X)
-    A.check_set(Y)
-    _require_nonempty(X, Y)
-    hyps = [
-        ("cancellative", A.is_cancellative),
-        ("span_y_commutative", _commutes(A, Y.mask)),
-    ]
-    lhs = _lhs(A, X, Y)
-    rhs = _capped(_omega_value(A, Y.mask), len(X) + len(Y) - 1)
-    return _report("Thm2.2", hyps, lhs, ExtendedNat(rhs))
+    return _evaluate(A, "Thm2.2", X, Y)
 
 
 def verify_mirror(
@@ -172,34 +251,7 @@ def verify_mirror(
 ) -> tuple[BoundReport, BoundReport]:
     """The omega(X) mirror bound, plus the symmetric two-sided bound whose
     right side is the full Cauchy-Davenport constant."""
-    A.check_set(X)
-    A.check_set(Y)
-    _require_nonempty(X, Y)
-    lhs = _lhs(A, X, Y)
-    size_cap = len(X) + len(Y) - 1
-    comm_x = _commutes(A, X.mask)
-    comm_y = _commutes(A, Y.mask)
-    omega_x = _omega_value(A, X.mask)
-    omega_y = _omega_value(A, Y.mask)
-    omega_xy = _omega_max(omega_x, omega_y)
-
-    mirror = _report(
-        "Cor2.4",
-        [("cancellative", A.is_cancellative), ("span_x_commutative", comm_x)],
-        lhs,
-        ExtendedNat(_capped(omega_x, size_cap)),
-    )
-    both = _report(
-        "Cor2.7",
-        [
-            ("cancellative", A.is_cancellative),
-            ("span_x_commutative", comm_x),
-            ("span_y_commutative", comm_y),
-        ],
-        lhs,
-        ExtendedNat(_capped(omega_xy, size_cap)),
-    )
-    return (mirror, both)
+    return (_evaluate(A, "Cor2.4", X, Y), _evaluate(A, "Cor2.7", X, Y))
 
 
 def verify_kemperman_weak(
@@ -207,41 +259,7 @@ def verify_kemperman_weak(
 ) -> BoundReport:
     """|X+Y| >= |X|+|Y|-1 when every non-identity element has order at least
     |X|+|Y|-1 (cancellative carrier, one commutative span)."""
-    A.check_set(X)
-    A.check_set(Y)
-    _require_nonempty(X, Y)
-    need = len(X) + len(Y) - 1
-    hyps = [
-        ("cancellative", A.is_cancellative),
-        ("orders_large_enough", A._p is None or A._p >= need),
-        (
-            "span_x_or_y_commutative",
-            _commutes(A, X.mask) or _commutes(A, Y.mask),
-        ),
-    ]
-    lhs = _lhs(A, X, Y)
-    return _report("Kemperman-weak", hyps, lhs, ExtendedNat(need))
-
-
-def _zmod_sides(m: int, X: ElementSet, Y: ElementSet) -> tuple[int, int]:
-    """|X + Y| and |X| + |Y| - 1 on the integers mod m, after the checks
-    every residue bound makes."""
-    A = _cyclic_cached(m)
-    A.check_set(X)
-    A.check_set(Y)
-    _require_nonempty(X, Y)
-    return _lhs(A, X, Y), len(X) + len(Y) - 1
-
-
-def _chowla(m: int, Y: ElementSet, lhs: int, size_cap: int) -> BoundReport:
-    g = _gcd_row(m)
-    coprime = all(g[y] == 1 for y in iter_bits(Y.mask & ~1))
-    return _report(
-        "Chowla",
-        [("zero_in_y", Y.mask & 1 == 1), ("y_coprime_to_m", coprime)],
-        lhs,
-        ExtendedNat(min(m, size_cap)),
-    )
+    return _evaluate(A, "Kemperman-weak", X, Y)
 
 
 def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
@@ -252,26 +270,10 @@ def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
     side must dominate; that comparison is checked here (it is a theorem),
     and TheoremViolated is raised if it fails.
     """
-    lhs, size_cap = _zmod_sides(m, X, Y)
-    chowla = _chowla(m, Y, lhs, size_cap)
-    pillai = _report(
-        "Pillai",
-        [],
-        lhs,
-        ExtendedNat(min(m // pillai_delta(m, Y), size_cap)),
-    )
-    sharper = _report(
-        "Cor2.9",
-        [],
-        lhs,
-        ExtendedNat(min(m // min(delta(m, X), delta(m, Y)), size_cap)),
-    )
-    if sharper.rhs < pillai.rhs:
-        raise TheoremViolated(
-            "min-max delta bound fell below the max-pairwise-gcd bound: %s < %s"
-            % (sharper.rhs, pillai.rhs)
-        )
-    return [chowla, pillai, sharper]
+    A = _cyclic_cached(m)
+    reports = [_evaluate(A, s, X, Y) for s in ("Chowla", "Pillai", "Cor2.9")]
+    _dominate({r.statement: r.rhs.value for r in reports if r.applicable})
+    return reports
 
 
 def verify_hk(
@@ -279,53 +281,10 @@ def verify_hk(
 ) -> tuple[BoundReport, BoundReport | None]:
     """group bound min(p_constant, |X|+|Y|-1), plus the sharper omega-based
     report side by side when span(Y) is commutative."""
-    A.check_set(X)
-    A.check_set(Y)
-    if not A.is_group:
-        raise NotGroup("the p-constant bound is stated for groups")
-    _require_nonempty(X, Y)
-    lhs = _lhs(A, X, Y)
-    rhs = ExtendedNat(_capped(A._p, len(X) + len(Y) - 1))
-    hk = _report("HK", [("group", True)], lhs, rhs)
-    sharper = None
-    if _commutes(A, Y.mask):
-        sharper = verify_main(A, X, Y)
-        if sharper.applicable and sharper.rhs < hk.rhs:
-            raise TheoremViolated(
-                "omega-based right side fell below the p-constant right side"
-            )
-    return (hk, sharper)
-
-
-@dataclass(frozen=True)
-class _StatementInfo:
-    """How to run one catalog statement as a scalar verify."""
-
-    needs_cyclic: bool
-    needs_group: bool
-    run: object  # (A, X, Y) -> BoundReport
-
-
-def _run_zmod_slice(index):
-    def run(A, X, Y):
-        return verify_zmod(A.n, X, Y)[index]
-
-    return run
-
-
-_STATEMENT_INFO = {
-    "CD-1813": _StatementInfo(False, False, verify_cd),
-    "Thm2.2": _StatementInfo(False, False, verify_main),
-    "Cor2.4": _StatementInfo(False, False, lambda A, X, Y: verify_mirror(A, X, Y)[0]),
-    "Cor2.7": _StatementInfo(False, False, lambda A, X, Y: verify_mirror(A, X, Y)[1]),
-    "Kemperman-weak": _StatementInfo(False, False, verify_kemperman_weak),
-    "HK": _StatementInfo(False, True, lambda A, X, Y: verify_hk(A, X, Y)[0]),
-    "Chowla": _StatementInfo(
-        True, False, lambda A, X, Y: _chowla(A.n, Y, *_zmod_sides(A.n, X, Y))
-    ),
-    "Pillai": _StatementInfo(True, False, _run_zmod_slice(1)),
-    "Cor2.9": _StatementInfo(True, False, _run_zmod_slice(2)),
-}
+    hk = _evaluate(A, "HK", X, Y)
+    main = _evaluate(A, "Thm2.2", X, Y)
+    _dominate({r.statement: r.rhs.value for r in (hk, main) if r.applicable})
+    return (hk, main if main.applicable else None)
 
 
 _STATEMENT_IDS = {s.lower(): s for s in STATEMENTS}
@@ -343,23 +302,26 @@ def normalize_statement(text: str) -> str:
     return statement
 
 
-def statement_info(statement: str) -> _StatementInfo:
-    return _STATEMENT_INFO[normalize_statement(statement)]
+def statement_info(statement: str) -> _Statement:
+    return CATALOG[normalize_statement(statement)]
 
 
 def run_statement(
     A: FiniteSemigroup, statement: str, X: ElementSet, Y: ElementSet
 ) -> BoundReport:
     """Scalar dispatch by catalog id (normalized, so aliases and any case
-    are accepted); used by the CLI and by sweep cross-checks."""
+    are accepted); used by the CLI and by sweep cross-checks.  Each
+    DOMINANCE pair that lists the statement is checked against the other
+    statement's right side, when that one applies too."""
     statement = normalize_statement(statement)
-    info = _STATEMENT_INFO[statement]
-    if info.needs_cyclic and not is_standard_cyclic(A):
-        raise NotGroup(
-            "statement %s is about residues; the carrier must be cyclic:m "
-            "with the standard table" % statement
-        )
-    return info.run(A, X, Y)
+    report = _evaluate(A, statement, X, Y)
+    for (weaker, sharper), (checked_on, _) in DOMINANCE.items():
+        if statement in checked_on and report.applicable:
+            other = sharper if statement == weaker else weaker
+            entry = CATALOG[other]
+            if _hypotheses(A, entry, X, Y)[1]:
+                _dominate({statement: report.rhs.value, other: _rhs(A, entry, X, Y)})
+    return report
 
 
 # ---------------------------------------------------------------------------

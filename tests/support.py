@@ -7,6 +7,9 @@ tests can compare the two implementations.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from addcomb import ElementSet, FiniteSemigroup
@@ -56,6 +59,82 @@ def omega_oracle(A: FiniteSemigroup, zs) -> int | None:
         inner = min(order_oracle(A, A.table[z][inv]) for z in rest)
         best = max(best, inner)
     return best
+
+
+@functools.lru_cache(maxsize=64)
+def _carrier_facts(A: FiniteSemigroup):
+    """(cancellative, group, p) by definition, p the least order of a
+    non-identity element (an adjoined identity is never a power)."""
+    n, t = A.n, A.table
+    full = set(range(n))
+    cancellative = all(set(row) == full for row in t) and all(
+        {t[a][b] for a in range(n)} == full for b in range(n)
+    )
+    identity = next(
+        (e for e in range(n) if all(t[e][z] == z == t[z][e] for z in range(n))), None
+    )
+    group = identity is not None and all(
+        any(t[z][w] == identity == t[w][z] for w in range(n)) for z in range(n)
+    )
+    p = min((order_oracle(A, z) for z in range(n) if z != identity), default=math.inf)
+    return cancellative, group, p
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _set_facts(A: FiniteSemigroup, zs: tuple):
+    """(omega, span commutes, delta, pillai_delta) of zs, by definition;
+    the last two read the elements as residues mod n."""
+    n, t = A.n, A.table
+    w = omega_oracle(A, zs)
+    span = closure_oracle(A, zs)
+    commutes = all(t[a][b] == t[b][a] for a in span for b in span)
+    rows = [[math.gcd(n, (z - z0) % n) for z in zs if z != z0] or [1] for z0 in zs]
+    return (
+        math.inf if w is None else w,
+        commutes,
+        min(max(row) for row in rows),
+        max(max(row) for row in rows),
+    )
+
+
+def statement_oracle(A: FiniteSemigroup, statement: str, xs, ys):
+    """(lhs, rhs, hypotheses) of one catalogued bound on non-empty xs and
+    ys, by definition; hypotheses maps each name to its truth value, in the
+    order the reports list them."""
+    n, t = A.n, A.table
+    lhs = len({t[x][y] for x in xs for y in ys})
+    cap = len(xs) + len(ys) - 1
+    cancellative, group, p = _carrier_facts(A)
+    omega_x, comm_x, delta_x, _ = _set_facts(A, tuple(xs))
+    omega_y, comm_y, delta_y, pillai_y = _set_facts(A, tuple(ys))
+    if statement == "CD-1813":
+        prime = n >= 2 and all(n % d for d in range(2, n))
+        return lhs, min(n, cap), {"group": group, "prime_order": prime}
+    if statement == "HK":
+        return lhs, min(p, cap), {"group": group}
+    if statement == "Chowla":
+        coprime = all(math.gcd(n, y) == 1 for y in ys if y)
+        return lhs, min(n, cap), {"zero_in_y": 0 in ys, "y_coprime_to_m": coprime}
+    if statement == "Pillai":
+        return lhs, min(n // pillai_y, cap), {}
+    if statement == "Cor2.9":
+        return lhs, min(n // min(delta_x, delta_y), cap), {}
+    hyps = {"cancellative": cancellative}
+    if statement == "Thm2.2":
+        hyps["span_y_commutative"] = comm_y
+        return lhs, min(omega_y, cap), hyps
+    if statement == "Cor2.4":
+        hyps["span_x_commutative"] = comm_x
+        return lhs, min(omega_x, cap), hyps
+    if statement == "Cor2.7":
+        hyps["span_x_commutative"] = comm_x
+        hyps["span_y_commutative"] = comm_y
+        return lhs, min(max(omega_x, omega_y), cap), hyps
+    if statement == "Kemperman-weak":
+        hyps["orders_large_enough"] = p >= cap
+        hyps["span_x_or_y_commutative"] = comm_x or comm_y
+        return lhs, cap, hyps
+    raise ValueError("unknown statement %r" % statement)
 
 
 def commutative_span_masks(A: FiniteSemigroup) -> list[int]:

@@ -19,8 +19,14 @@ from hypothesis import strategies as st
 
 import addcomb as ac
 from addcomb.constants import _omega_value
-from addcomb.theorems import is_standard_cyclic
-from support import closure_oracle, omega_oracle, order_oracle, sumset_oracle
+from addcomb.theorems import is_standard_cyclic, statement_info
+from support import (
+    closure_oracle,
+    omega_oracle,
+    order_oracle,
+    statement_oracle,
+    sumset_oracle,
+)
 
 MAX_ORDER = 24  # closures larger than this drop their last generators
 
@@ -150,6 +156,24 @@ def test_constants_and_setops_match_oracles(case):
     assert ac.cd_constant(A, X, Y) == (cap if pair is None else min(pair, cap))
     diff = {z for z in range(A.n) if any(A.table[z][y] in xs for y in ys)}
     assert set(ac.right_difference(A, X, Y)) == diff
+
+
+@SETTINGS
+@given(carrier_and_sets())
+def test_run_statement_matches_statement_oracle(case):
+    A, xs, ys = case
+    X, Y = _es(A, xs), _es(A, ys)
+    for s in ac.STATEMENTS:
+        info = statement_info(s)
+        if (info.needs_cyclic and not is_standard_cyclic(A)) or (
+            info.needs_group and not A.is_group
+        ):
+            with pytest.raises(ac.NotGroup):
+                ac.run_statement(A, s, X, Y)
+            continue
+        rep = ac.run_statement(A, s, X, Y)
+        lhs, rhs, hyps = statement_oracle(A, s, xs, ys)
+        assert (rep.lhs, rep.rhs, rep.hypotheses) == (lhs, rhs, tuple(hyps.items())), s
 
 
 @SETTINGS

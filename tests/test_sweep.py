@@ -13,7 +13,7 @@ import pytest
 import addcomb as ac
 import addcomb.sweep  # noqa: F401 - loads the submodule
 from addcomb.theorems import is_standard_cyclic
-from support import commutative_span_masks, sumset_oracle
+from support import commutative_span_masks, statement_oracle, sumset_oracle
 
 # the package re-exports the sweep *function* under the same name, so reach
 # the submodule through sys.modules
@@ -28,7 +28,7 @@ def _swept_masks(n, max_size=None):
 
 def _brute_summary(A, statement, max_size=None):
     """Reference sweep over all non-empty pairs within the size cap, using
-    the scalar verifiers."""
+    the scalar verifiers, each report checked against statement_oracle."""
     return _brute_summaries(A, statement, [max_size])[max_size]
 
 
@@ -50,11 +50,15 @@ def _brute_summaries(A, statement, caps):
         }
         for cap in caps
     }
-    for xm in masks:
-        X = ac.ElementSet(n, xm)
-        for ym in masks:
-            Y = ac.ElementSet(n, ym)
+    sets = [(m, ac.ElementSet(n, m), tuple(z for z in range(n) if m >> z & 1)) for m in masks]
+    for xm, X, xs in sets:
+        for ym, Y, ys in sets:
             rep = ac.run_statement(A, statement, X, Y)
+            # the scalar side is itself checked against the definitions,
+            # which the sweep and the verifiers do not share
+            lhs, rhs, hyps = statement_oracle(A, statement, xs, ys)
+            report = (rep.lhs, rep.rhs, rep.hypotheses)
+            assert report == (lhs, rhs, tuple(hyps.items())), (statement, str(X), str(Y))
             size = max(xm.bit_count(), ym.bit_count())
             for cap, got in out.items():
                 if cap is not None and size > cap:

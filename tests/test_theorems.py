@@ -6,6 +6,7 @@ import pytest
 
 import addcomb as ac
 from addcomb.theorems import is_standard_cyclic, statement_info
+from support import statement_oracle
 
 
 def _s(n, *els):
@@ -218,6 +219,33 @@ def test_statement_info_flags():
     assert not statement_info("Thm2.2").needs_group
 
 
+@pytest.mark.parametrize(
+    "A",
+    [A for A in ac.builtin_monoids(6) if A.label not in ("cyclic:6", "dihedral:3")],
+    ids=lambda A: A.label,
+)
+def test_run_statement_matches_statement_oracle(A):
+    # every pair of non-empty subsets, every statement the carrier takes;
+    # cyclic:6, dihedral:3, quaternion8 and product:(cyclic:2,cyclic:4) get
+    # the same check in the scalar reference sweeps of test_sweep.py, which
+    # run every pair of them
+    n = A.n
+    statements = [
+        s
+        for s in ac.STATEMENTS
+        if (is_standard_cyclic(A) or not statement_info(s).needs_cyclic)
+        and (A.is_group or not statement_info(s).needs_group)
+    ]
+    sets = [(ac.ElementSet(n, m), [z for z in range(n) if m >> z & 1]) for m in range(1, 1 << n)]
+    for X, xs in sets:
+        for Y, ys in sets:
+            for s in statements:
+                rep = ac.run_statement(A, s, X, Y)
+                lhs, rhs, hyps = statement_oracle(A, s, xs, ys)
+                got = (rep.lhs, rep.rhs, rep.hypotheses)
+                assert got == (lhs, rhs, tuple(hyps.items())), (s, xs, ys)
+
+
 def test_builtin_group_registry_is_complete_for_order_8():
     groups = ac.builtin_groups(8)
     # isomorphism classes: 1+1+1+2+1+2+1+5 = 14 groups of order <= 8
@@ -266,3 +294,21 @@ def test_theorem_guards_raise_theorem_violated(monkeypatch):
         m.setattr(loc, "_max_matching", lambda rows, n: [0] * len(rows))
         with pytest.raises(ac.TheoremViolated):
             ac.localize(ac.cyclic(7), _s(7, 0, 1), _s(7, 0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "statement, patch, m",
+    [
+        # a false pillai_delta of 1 lifts the Pillai right side above Cor2.9's
+        ("Pillai", ("pillai_delta", lambda mod, Y: 1), 4),
+        ("Cor2.9", ("pillai_delta", lambda mod, Y: 1), 4),
+        # a false omega of 0 drops the Thm2.2 right side below HK's
+        ("HK", ("_omega_value", lambda A, mask: 0), 5),
+    ],
+)
+def test_run_statement_forces_each_guard(monkeypatch, statement, patch, m):
+    import addcomb.theorems as th
+
+    monkeypatch.setattr(th, *patch)
+    with pytest.raises(ac.TheoremViolated):
+        ac.run_statement(ac.cyclic(m), statement, _s(m, 0, m // 2), _s(m, 0, m // 2))
