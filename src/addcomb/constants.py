@@ -9,6 +9,15 @@ with the conventions sup(empty) = 0 and min(empty) = infinity.  The
 difference z - z0 is the single element z + inverse(z0), which exists
 precisely because z0 ranges over units.  On the integers mod m there is a
 closed gcd form, kept here as an independent cross-check.
+
+Each constant of a set S reduces one matrix w with the reduction passed in,
+core._reduce on a mask by default or the sweep's on arrays of masks:
+
+    constant                     w                           inner  outer
+    omega                        A._omega_w: ord(z - z0)     min    max
+    delta                        _gcd_w(m): gcd(m, z - z0)   max    min
+    pillai_delta                 _gcd_w(m)                   max    max
+    span commutes (setops)       A._commute_w                min    min
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import ElementSet, ExtendedNat, FiniteSemigroup, cyclic, iter_bits
+from .core import ElementSet, ExtendedNat, FiniteSemigroup, _reduce, cyclic, extended
 from .errors import EmptySet, PreconditionFailed
 
 
@@ -33,37 +42,38 @@ class OmegaBreakdown:
     overall: ExtendedNat
 
 
-def _omega_rows(A: FiniteSemigroup, zmask: int) -> list[tuple[int, int | None]]:
-    """(z0, inner) for each unit z0 in Z, inner None (infinity) for Z = {z0}."""
-    zs = iter_bits(zmask)
-    diff_order = A._diff_order
-    rows = []
-    for z0 in iter_bits(zmask & A.units.mask):
-        row = diff_order[z0]
-        rows.append((z0, min([row[z] for z in zs if z != z0], default=None)))
-    return rows
+def _omega_value(A: FiniteSemigroup, S, reduce=_reduce):
+    """omega of S, INF for infinity."""
+    return reduce(A._omega_w, min, max, S)
 
 
-def _omega_sup(rows: list[tuple[int, int | None]]) -> int | None:
-    """The max of the rows' inner minima, 0 for no rows, None (infinity)
-    for the one row of a unit singleton, the only infinite row."""
-    if rows and rows[0][1] is None:
-        return None
-    return max([inner for _, inner in rows], default=0)
+@functools.lru_cache(maxsize=None)
+def _gcd_w(m: int) -> tuple[tuple[int, ...], ...]:
+    """gcd(m, z - z0) at [z0][z], 1 on the diagonal, which max ignores."""
+    return tuple(
+        tuple(1 if z == z0 else math.gcd(m, z - z0) for z in range(m))
+        for z0 in range(m)
+    )
 
 
-def _omega_value(A: FiniteSemigroup, zmask: int) -> int | None:
-    """omega(Z) as an int, None for infinity."""
-    return _omega_sup(_omega_rows(A, zmask))
+def _delta_value(m: int, S, reduce=_reduce):
+    """delta of S over the integers mod m."""
+    return reduce(_gcd_w(m), max, min, S)
+
+
+def _pillai_value(m: int, S, reduce=_reduce):
+    """pillai_delta of S over the integers mod m."""
+    return reduce(_gcd_w(m), max, max, S)
 
 
 def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
     """Full breakdown of omega(Z); overall 0 when Z contains no unit."""
     A.check_set(Z)
-    rows = _omega_rows(A, Z.mask)
+    w, zs = A._omega_w, Z.elements()
+    rows = [(z0, min([w[z0][z] for z in zs])) for z0 in zs if A.units.mask >> z0 & 1]
     return OmegaBreakdown(
-        rows=tuple((z0, ExtendedNat(inner)) for z0, inner in rows),
-        overall=ExtendedNat(_omega_sup(rows)),
+        rows=tuple((z0, extended(inner)) for z0, inner in rows),
+        overall=extended(_omega_value(A, Z.mask)),
     )
 
 
@@ -71,12 +81,7 @@ def omega_pair(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:
     """max(omega(X), omega(Y))."""
     A.check_set(X)
     A.check_set(Y)
-    return ExtendedNat(_omega_max(_omega_value(A, X.mask), _omega_value(A, Y.mask)))
-
-
-def _omega_max(wx: int | None, wy: int | None) -> int | None:
-    """max(wx, wy), with None for infinity."""
-    return None if wx is None or wy is None else max(wx, wy)
+    return extended(max(_omega_value(A, X.mask), _omega_value(A, Y.mask)))
 
 
 def cd_constant(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:
@@ -91,19 +96,8 @@ def cd_constant(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat
     A.check_set(Y)
     if X.mask == 0 or Y.mask == 0:
         return ExtendedNat(0)
-    omega_xy = _omega_max(_omega_value(A, X.mask), _omega_value(A, Y.mask))
-    return ExtendedNat(_capped(omega_xy, len(X) + len(Y) - 1))
-
-
-def _capped(value: int | None, cap: int) -> int:
-    """min(value, cap), with None for infinity."""
-    return cap if value is None else min(value, cap)
-
-
-@functools.lru_cache(maxsize=None)
-def _gcd_row(m: int) -> tuple[int, ...]:
-    """gcd(m, d) for d in [0, m)."""
-    return tuple(math.gcd(m, d) for d in range(m))
+    omega_xy = max(_omega_value(A, X.mask), _omega_value(A, Y.mask))
+    return ExtendedNat(min(omega_xy, len(X) + len(Y) - 1))
 
 
 def delta(m: int, Z: ElementSet) -> int:
@@ -112,11 +106,7 @@ def delta(m: int, Z: ElementSet) -> int:
     _check_residues(m, Z)
     if Z.mask == 0:
         raise EmptySet("delta is undefined for the empty set")
-    zs = iter_bits(Z.mask)
-    if len(zs) == 1:
-        return 1
-    g = _gcd_row(m)  # g[z - z0] is gcd(m, (z - z0) % m), as -m < z - z0 < m
-    return min(max(g[z - z0] for z in zs if z != z0) for z0 in zs)
+    return _delta_value(m, Z.mask)
 
 
 def pillai_delta(m: int, Z: ElementSet) -> int:
@@ -125,11 +115,7 @@ def pillai_delta(m: int, Z: ElementSet) -> int:
     _check_residues(m, Z)
     if Z.mask == 0:
         raise EmptySet("pillai_delta is undefined for the empty set")
-    zs = iter_bits(Z.mask)
-    if len(zs) == 1:
-        return 1
-    g = _gcd_row(m)
-    return max(g[z - z0] for z0 in zs for z in zs if z != z0)
+    return _pillai_value(m, Z.mask)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,21 +14,27 @@ scalar paths read instead of recomputing them on every call:
 
 - ``_bit_table[a][b]``: the bit mask of a + b;
 - ``_orders[z]``: the order |{z, z+z, ...}| of z;
-- ``_diff_order[z0][z]``: ord(z + inverse(z0)) for each unit z0, None for a
-  non-unit z0;
+- ``_omega_w[z0][z]``: ord(z + inverse(z0)) for a unit z0, with INF on the
+  diagonal, and 0 throughout the row of a non-unit z0;
+- ``_commute_w[a][b]``: 1 when a + b = b + a, else 0;
 - ``_preimage[y][z]``: the mask of the w with w + y = z, which may have
   several bits on a non-cancellative carrier;
 - ``_p``: the least order of a non-identity element of the unitization,
-  None (infinity) for the trivial monoid;
+  INF for the trivial monoid;
 - ``_standard_cyclic``: whether the table is addition mod n on the indices.
 
-The library works on bit masks and plain ints, with None for infinity, and
-wraps results in ``ElementSet`` and ``ExtendedNat`` only when it returns them.
+Each set constant is one such matrix and one reduction (see ``_reduce``),
+evaluated on a mask here and on arrays of masks by the sweep.
+
+The library works on bit masks and plain ints, with the integer INF for
+infinity, and wraps results in ``ElementSet`` and ``ExtendedNat`` only when
+it returns them.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 
 from .errors import (
     CarrierTooLarge,
@@ -39,6 +45,7 @@ from .errors import (
 )
 
 MAX_CARRIER = 64
+INF = 255  # infinity: above every finite value on a carrier, and a uint8
 
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
@@ -147,6 +154,22 @@ class ExtendedNat:
 
 
 INFINITY = ExtendedNat(None)
+
+
+def extended(value: int) -> ExtendedNat:
+    """value as an ExtendedNat, INF as infinity."""
+    return INFINITY if value == INF else ExtendedNat(value)
+
+
+def _reduce(w, inner, outer, mask: int) -> int:
+    """outer over z0 in S of (inner over z in S of w[z0][z]), for the set S
+    of mask: a singleton gets the diagonal, which inner must otherwise
+    ignore, and an empty S gets 0 under max and INF under min."""
+    zs = iter_bits(mask)
+    if len(zs) < 2:
+        return w[zs[0]][zs[0]] if zs else (0 if outer is max else INF)
+    get = itemgetter(*zs)
+    return outer(map(inner, map(get, get(w))))
 
 
 class ElementSet:
@@ -285,7 +308,8 @@ class FiniteSemigroup:
         "_inverse",
         "_bit_table",
         "_orders",
-        "_diff_order",
+        "_omega_w",
+        "_commute_w",
         "_preimage",
         "_p",
         "_standard_cyclic",
@@ -342,11 +366,12 @@ class FiniteSemigroup:
         object.__setattr__(self, "_inverse", tuple(inverse))
         object.__setattr__(self, "units", ElementSet(n, units_mask))
 
-        object.__setattr__(
-            self,
-            "is_commutative",
-            all(table[a][b] == table[b][a] for a in range(n) for b in range(a)),
+        commute_w = tuple(
+            tuple(int(v == table[b][a]) for b, v in enumerate(row))
+            for a, row in enumerate(table)
         )
+        object.__setattr__(self, "_commute_w", commute_w)
+        object.__setattr__(self, "is_commutative", all(map(all, commute_w)))
         full = set(range(n))
         cancellative = all(set(row) == full for row in table) and all(
             {table[a][b] for a in range(n)} == full for b in range(n)
@@ -366,14 +391,12 @@ class FiniteSemigroup:
                 seen |= 1 << cur
             orders.append(seen.bit_count())
         object.__setattr__(self, "_orders", tuple(orders))
-        object.__setattr__(
-            self,
-            "_diff_order",
-            tuple(
-                None if inv is None else tuple(orders[row[inv]] for row in table)
-                for inv in inverse
-            ),
-        )
+        omega_w = [[0] * n for _ in range(n)]
+        for z0, inv in enumerate(inverse):
+            if inv is not None:
+                omega_w[z0] = [orders[row[inv]] for row in table]
+                omega_w[z0][z0] = INF
+        object.__setattr__(self, "_omega_w", tuple(map(tuple, omega_w)))
         preimage = [[0] * n for _ in range(n)]
         for w, row in enumerate(table):
             for y, z in enumerate(row):
@@ -384,7 +407,7 @@ class FiniteSemigroup:
         object.__setattr__(
             self,
             "_p",
-            min((orders[z] for z in range(n) if z != identity), default=None),
+            min((orders[z] for z in range(n) if z != identity), default=INF),
         )
         # exact because the table is associative: every element is then a
         # power of 1, so the column of 1 fixes the whole table
@@ -483,11 +506,13 @@ def unitization(A: FiniteSemigroup) -> FiniteSemigroup:
 
 
 def element_order(A: FiniteSemigroup, z: int) -> ExtendedNat:
-    """|{z, z+z, z+z+z, ...}|, by iterating until the first repeat.
+    """|{z, z+z, z+z+z, ...}|, read from the carrier's table of orders.
 
     Always finite on a finite carrier, but typed as an extended natural to
     match the quantities built on top of it.
     """
+    if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < A.n:
+        raise IndexOutOfRange("element %r outside carrier [0, %d)" % (z, A.n))
     return ExtendedNat(A._orders[z])
 
 
@@ -513,20 +538,15 @@ def p_constant(A: FiniteSemigroup) -> ExtendedNat:
 
     Infinite for the trivial monoid (minimum over an empty set).
     """
-    return INFINITY if A._p is None else ExtendedNat(A._p)
+    return extended(A._p)
 
 
 def centralizer(A: FiniteSemigroup, X: ElementSet) -> ElementSet:
     """Elements commuting with every member of X (full carrier for X empty)."""
     A.check_set(X)
-    table = A.table
+    w = A._commute_w
     xs = X.elements()
-    mask = 0
-    for z in range(A.n):
-        row_z = table[z]
-        if all(row_z[x] == table[x][z] for x in xs):
-            mask |= 1 << z
-    return ElementSet(A.n, mask)
+    return ElementSet(A.n, sum(1 << z for z in range(A.n) if all(w[z][x] for x in xs)))
 
 
 # ---------------------------------------------------------------------------

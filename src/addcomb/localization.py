@@ -122,8 +122,7 @@ def localize(
         failed.append("cancellative")
     if not _commutes(A, ymask):
         failed.append("span_y_commutative")
-    w = _omega_value(A, ymask)
-    if w is not None and w <= total.bit_count():
+    if _omega_value(A, ymask) <= total.bit_count():
         failed.append("sumset_smaller_than_omega")
     if failed:
         raise PreconditionFailed(failed)

@@ -7,7 +7,7 @@ so parallel mapping over pair enumerations is safe.
 
 from __future__ import annotations
 
-from .core import ElementSet, FiniteSemigroup, generated_subsemigroup, iter_bits
+from .core import ElementSet, FiniteSemigroup, _reduce, generated_subsemigroup, iter_bits
 from .errors import ValidationError
 
 
@@ -126,21 +126,11 @@ def span_is_commutative(A: FiniteSemigroup, Y: ElementSet) -> bool:
     Checked as "the elements of Y commute pairwise", which is equivalent:
     sums of pairwise commuting elements commute.
     """
-    if A.is_commutative:
-        return True
     A.check_set(Y)
     return _commutes(A, Y.mask)
 
 
-def _commutes(A: FiniteSemigroup, mask: int) -> bool:
-    """Whether the elements of mask commute pairwise."""
-    if A.is_commutative:
-        return True
-    table = A.table
-    zs = iter_bits(mask)
-    for i, a in enumerate(zs):
-        row = table[a]
-        for b in zs[:i]:
-            if row[b] != table[b][a]:
-                return False
-    return True
+def _commutes(A: FiniteSemigroup, S, reduce=_reduce):
+    """Whether the elements of S commute pairwise: whether the min over z0
+    and z in S of A._commute_w[z0][z] is 1 (or INF, for S empty)."""
+    return A.is_commutative or reduce(A._commute_w, min, min, S) > 0

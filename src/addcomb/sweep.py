@@ -10,10 +10,10 @@ value.
 
 Each column is also held as idx, a row of its element indices padded with
 its first element, which the features and both |X + Y| paths read.  The
-features are numpy reductions over idx: omega, delta, pillai_delta and
-span commutativity (S commutes pairwise) are each an outer max, min or AND
-over z0 in S of an inner min, max or AND over z in S of an n x n matrix:
-ord(z - z0), gcd(n, z - z0) and whether z and z0 commute.
+features are the catalog's tests and bounds, evaluated with the context's
+_reduce in place of core's: each set constant (omega, delta, pillai_delta,
+span commutativity) reduces the same carrier matrix with the same min and
+max as on a mask, in numpy over idx.
 
 |X + Y| takes one of two paths, chosen from the carrier order n and the
 size cap alone:
@@ -62,12 +62,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .core import ElementSet, FiniteSemigroup, iter_bits
+from .core import ElementSet, FiniteSemigroup
 from .errors import CarrierTooLarge, NotGroup
 
 CHUNK = 512
 VECTOR_LIMIT = 16
-_INF = 1 << 30  # exceeds every finite bound on carriers of order <= 64
 _MAX_RECORDED = 64
 _BLOCK_PAIRS = 1 << 16  # pairs per kernel block; bounds its temporaries
 
@@ -220,22 +219,14 @@ class _SweepContext:
         outside the size cap, as one open gate needs."""
         from .theorems import _BOUNDS, _TESTS, CATALOG, HYPOTHESES
 
-        A, n, cols = self.A, self.n, self.cols
-        non_units = sum(1 << z for z in range(1, n) if math.gcd(n, z) != 1)
-        # set tests and bounds over the columns; other bounds are the carrier's
-        arrays = {
-            "commutes": lambda: A.is_commutative or self._commute_table(),
-            "holds_zero": lambda: cols & 1 == 1,
-            "coprime": lambda: cols & non_units == 0,
-            "omega": self._omega_table,
-            "m/delta": lambda: n // self._gcd_table(np.minimum),
-            "m/pillai_delta": lambda: n // self._gcd_table(np.maximum),
-        }
+        A, n = self.A, self.n
 
         @functools.cache
         def column(key):
-            value = arrays[key]() if key in arrays else _BOUNDS[key](A, None)
-            return _INF if value is None else value
+            """A set test or bound over the columns, or one of the carrier."""
+            return (_BOUNDS[key] if key in _BOUNDS else _TESTS[key])(
+                A, self.cols, self._reduce
+            )
 
         entry = CATALOG[statement]
         self.cap_limit = None
@@ -247,51 +238,26 @@ class _SweepContext:
                 holds = _TESTS[test](A)
                 gx, gy = gx & holds, gy & holds
             elif side == "size":
-                self.cap_limit = min(column("p"), 2 * n)
+                self.cap_limit = min(A._p, 2 * n)
             else:
                 either |= side == "either"
                 gx = gx if side == "y" else gx & column(test)
                 gy = gy if side == "x" else gy & column(test)
         return gx, gy, column(entry.u), column(entry.v), either
 
-    def _omega_table(self) -> np.ndarray:
-        """omega of each column, _INF for a unit singleton."""
-        A = self.A
-        # ord(z - z0) for units z0, 255 (infinity) for z = z0; a column of
-        # zeros for each non-unit z0, which the outer max ignores
-        w = np.zeros((self.n, self.n), dtype=np.uint8)
-        for z0 in iter_bits(A.units.mask):
-            w[:, z0] = A._diff_order[z0]
-            w[z0, z0] = 255
-        omega = self._reduce(w, np.minimum, np.maximum)
-        return np.where(omega == 255, _INF, omega.astype(np.int64))
-
-    def _gcd_table(self, outer) -> np.ndarray:
-        """delta (outer np.minimum) or pillai_delta (np.maximum) of each
-        column, over Z_n."""
-        z = np.arange(self.n)
-        g = np.gcd(self.n, (z[:, None] - z) % self.n)
-        np.fill_diagonal(g, 1)  # z = z0, which max ignores
-        return self._reduce(g, np.maximum, outer)
-
-    def _commute_table(self) -> np.ndarray:
-        """Whether each column commutes pairwise, that is, whether its span
-        is commutative."""
-        t = np.array(self.A.table)
-        return self._reduce(t == t.T, np.minimum, np.minimum).astype(bool)
-
-    def _reduce(self, w: np.ndarray, inner, outer) -> np.ndarray:
-        """outer over z0 in S of (inner over z in S of w[z, z0]), as uint8,
-        for the set S of each column.  The padding repeats an element of S,
-        which min and max ignore."""
-        flat = w.astype(np.uint8).ravel()
+    def _reduce(self, w, inner, outer, cols) -> np.ndarray:
+        """core._reduce, as uint8, on the set S of each column of cols, which
+        are self.cols.  The padding repeats an element of S, which min and
+        max ignore."""
+        ufunc = {min: np.minimum, max: np.maximum}
+        inner, outer = ufunc[inner], ufunc[outer]
+        flat = np.array(w, dtype=np.uint8).ravel()
         idx = np.ascontiguousarray(self.idx.T)
-        at_row = idx.astype(np.uint16) * self.n
         out = None
-        for z0 in idx:
-            acc = flat[at_row[0] + z0]
-            for z in at_row[1:]:
-                inner(acc, flat[z + z0], out=acc)
+        for z0 in idx.astype(np.uint16) * self.n:
+            acc = flat[z0 + idx[0]]
+            for z in idx[1:]:
+                inner(acc, flat[z0 + z], out=acc)
             out = acc if out is None else outer(out, acc, out=out)
         return out
 

@@ -10,31 +10,26 @@ every caller.
 
 Each statement is one entry of CATALOG, which names its hypotheses and two
 bounds: its right side is min(max(u(X), v(Y)), |X| + |Y| - 1).  _evaluate
-reads an entry on one pair, for run_statement and every verify_* function;
-the sweep reads the same entries on arrays.  Statement ids are opaque
-tokens used by the CLI and reports.
+reads one or more entries on one pair, for run_statement and every verify_*
+function; the sweep reads the same entries on arrays.  Statement ids are
+opaque tokens used by the CLI and reports.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .constants import (
-    _capped,
-    _cyclic_cached,
-    _omega_max,
-    _omega_value,
-    delta,
-    pillai_delta,
-)
+from .constants import _cyclic_cached, _delta_value, _omega_value, _pillai_value
 from .core import (
+    INF,
     ElementSet,
     ExtendedNat,
     FiniteSemigroup,
+    _reduce,
     cyclic,
     dihedral,
-    iter_bits,
     maxchain,
     product,
     quaternion8,
@@ -60,6 +55,12 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+@functools.cache
+def _not_coprime(m: int) -> int:
+    """The mask of the z in [1, m) with gcd(m, z) > 1."""
+    return sum(1 << z for z in range(1, m) if gcd(m, z) != 1)
+
+
 # name: (side, test, the text for its failure).  The test reads the side:
 # the carrier, X, Y, either set (it holds when it holds of X or of Y) or the
 # size |X| + |Y| - 1; the only size test is |X| + |Y| - 1 <= p.
@@ -81,28 +82,29 @@ HYPOTHESES = {
 HYPOTHESIS_FAILURE_TEXT = {name: text for name, (_, _, text) in HYPOTHESES.items()}
 
 
-# The tests on one pair: of the carrier A, of a set's mask, or of the size.
+# The tests on one pair: of the carrier A, of a set S (a mask, or the
+# sweep's array of masks) with a reduction (see constants), or of the size.
 _TESTS = {
     "cancellative": lambda A: A.is_cancellative,
     "group": lambda A: A.is_group,
     "prime_order": lambda A: _is_prime(A.n),
     "commutes": _commutes,
-    "holds_zero": lambda A, mask: mask & 1 == 1,
-    "coprime": lambda A, mask: all(gcd(A.n, z) == 1 for z in iter_bits(mask & ~1)),
-    "within_p": lambda A, need: A._p is None or A._p >= need,
+    "holds_zero": lambda A, S, reduce: S & 1 == 1,
+    "coprime": lambda A, S, reduce: S & _not_coprime(A.n) == 0,
+    "within_p": lambda A, need: A._p >= need,
 }
 
-# The bounds of one set S, None for infinity.  m is the carrier order n;
-# delta is the min-max gcd and pillai_delta the max pairwise gcd.  Module
-# globals are looked up on each call.
+# The bounds of one set S, as _TESTS takes it, INF for infinity.  m is the
+# carrier order n; delta is the min-max gcd and pillai_delta the max
+# pairwise gcd.  Module globals are looked up on each call.
 _BOUNDS = {
-    "0": lambda A, S: 0,
-    "n": lambda A, S: A.n,
-    "p": lambda A, S: A._p,
-    "inf": lambda A, S: None,
-    "omega": lambda A, S: _omega_value(A, S.mask),
-    "m/delta": lambda A, S: A.n // delta(A.n, S),
-    "m/pillai_delta": lambda A, S: A.n // pillai_delta(A.n, S),
+    "0": lambda A, S, reduce: 0,
+    "n": lambda A, S, reduce: A.n,
+    "p": lambda A, S, reduce: A._p,
+    "inf": lambda A, S, reduce: INF,
+    "omega": lambda A, S, reduce: _omega_value(A, S, reduce),
+    "m/delta": lambda A, S, reduce: A.n // _delta_value(A.n, S, reduce),
+    "m/pillai_delta": lambda A, S, reduce: A.n // _pillai_value(A.n, S, reduce),
 }
 
 
@@ -176,11 +178,11 @@ def _hypotheses(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: Element
         if side == "carrier":
             holds = test(A)
         elif side == "x":
-            holds = test(A, X.mask)
+            holds = test(A, X.mask, _reduce)
         elif side == "y":
-            holds = test(A, Y.mask)
+            holds = test(A, Y.mask, _reduce)
         elif side == "either":
-            holds = test(A, X.mask) or test(A, Y.mask)
+            holds = test(A, X.mask, _reduce) or test(A, Y.mask, _reduce)
         else:
             holds = test(A, len(X) + len(Y) - 1)
         hyps.append((name, holds))
@@ -190,36 +192,43 @@ def _hypotheses(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: Element
 
 def _rhs(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: ElementSet) -> int:
     """The right side of entry on a pair of non-empty sets."""
-    bound = _omega_max(_BOUNDS[entry.u](A, X), _BOUNDS[entry.v](A, Y))
-    return _capped(bound, len(X) + len(Y) - 1)
+    u = _BOUNDS[entry.u](A, X.mask, _reduce)
+    return min(max(u, _BOUNDS[entry.v](A, Y.mask, _reduce)), len(X) + len(Y) - 1)
 
 
-def _evaluate(A: FiniteSemigroup, statement: str, X: ElementSet, Y: ElementSet):
-    """The report of the catalog statement on (X, Y).  Raises NotGroup on a
-    carrier the statement is not about."""
-    entry = CATALOG[statement]
-    if entry.needs_cyclic and not A._standard_cyclic:
-        raise NotGroup(
-            "statement %s is about residues; the carrier must be cyclic:m "
-            "with the standard table" % statement
-        )
+def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str):
+    """The reports of the catalog statements on (X, Y), in order; the
+    carrier and the sets are checked, and |X + Y| computed, once.  Raises
+    NotGroup on a carrier one of them is not about."""
+    entries = [CATALOG[statement] for statement in statements]
+    for statement, entry in zip(statements, entries):
+        if entry.needs_cyclic and not A._standard_cyclic:
+            raise NotGroup(
+                "statement %s is about residues; the carrier must be cyclic:m "
+                "with the standard table" % statement
+            )
     A.check_set(X)
     A.check_set(Y)
-    if entry.needs_group and not A.is_group:
+    if not A.is_group and any(entry.needs_group for entry in entries):
         raise NotGroup("the p-constant bound is stated for groups")
     if X.mask == 0 or Y.mask == 0:
         raise EmptySet("bound verifiers need non-empty X and Y")
-    hyps, applicable = _hypotheses(A, entry, X, Y)
-    rhs = _rhs(A, entry, X, Y)
     lhs = _sumset_mask(A, X.mask, Y.mask).bit_count()
-    return BoundReport(
-        statement=statement,
-        hypotheses=hyps,
-        lhs=lhs,
-        rhs=ExtendedNat(rhs),
-        applicable=applicable,
-        satisfied=lhs >= rhs if applicable else None,
-    )
+    reports = []
+    for statement, entry in zip(statements, entries):
+        hyps, applicable = _hypotheses(A, entry, X, Y)
+        rhs = _rhs(A, entry, X, Y)
+        reports.append(
+            BoundReport(
+                statement=statement,
+                hypotheses=hyps,
+                lhs=lhs,
+                rhs=ExtendedNat(rhs),
+                applicable=applicable,
+                satisfied=lhs >= rhs if applicable else None,
+            )
+        )
+    return reports
 
 
 def _dominate(rhs: dict[str, int]) -> None:
@@ -237,13 +246,13 @@ def is_standard_cyclic(A: FiniteSemigroup) -> bool:
 
 def verify_cd(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport:
     """The classical prime-modulus bound min(p, |X|+|Y|-1)."""
-    return _evaluate(A, "CD-1813", X, Y)
+    return _evaluate(A, X, Y, "CD-1813")[0]
 
 
 def verify_main(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> BoundReport:
     """|X+Y| >= min(omega(Y), |X|+|Y|-1) under cancellativity + commutative
     span of Y."""
-    return _evaluate(A, "Thm2.2", X, Y)
+    return _evaluate(A, X, Y, "Thm2.2")[0]
 
 
 def verify_mirror(
@@ -251,7 +260,7 @@ def verify_mirror(
 ) -> tuple[BoundReport, BoundReport]:
     """The omega(X) mirror bound, plus the symmetric two-sided bound whose
     right side is the full Cauchy-Davenport constant."""
-    return (_evaluate(A, "Cor2.4", X, Y), _evaluate(A, "Cor2.7", X, Y))
+    return tuple(_evaluate(A, X, Y, "Cor2.4", "Cor2.7"))
 
 
 def verify_kemperman_weak(
@@ -259,7 +268,7 @@ def verify_kemperman_weak(
 ) -> BoundReport:
     """|X+Y| >= |X|+|Y|-1 when every non-identity element has order at least
     |X|+|Y|-1 (cancellative carrier, one commutative span)."""
-    return _evaluate(A, "Kemperman-weak", X, Y)
+    return _evaluate(A, X, Y, "Kemperman-weak")[0]
 
 
 def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
@@ -271,7 +280,7 @@ def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
     and TheoremViolated is raised if it fails.
     """
     A = _cyclic_cached(m)
-    reports = [_evaluate(A, s, X, Y) for s in ("Chowla", "Pillai", "Cor2.9")]
+    reports = _evaluate(A, X, Y, "Chowla", "Pillai", "Cor2.9")
     _dominate({r.statement: r.rhs.value for r in reports if r.applicable})
     return reports
 
@@ -281,8 +290,7 @@ def verify_hk(
 ) -> tuple[BoundReport, BoundReport | None]:
     """group bound min(p_constant, |X|+|Y|-1), plus the sharper omega-based
     report side by side when span(Y) is commutative."""
-    hk = _evaluate(A, "HK", X, Y)
-    main = _evaluate(A, "Thm2.2", X, Y)
+    hk, main = _evaluate(A, X, Y, "HK", "Thm2.2")
     _dominate({r.statement: r.rhs.value for r in (hk, main) if r.applicable})
     return (hk, main if main.applicable else None)
 
@@ -314,7 +322,7 @@ def run_statement(
     DOMINANCE pair that lists the statement is checked against the other
     statement's right side, when that one applies too."""
     statement = normalize_statement(statement)
-    report = _evaluate(A, statement, X, Y)
+    (report,) = _evaluate(A, X, Y, statement)
     for (weaker, sharper), (checked_on, _) in DOMINANCE.items():
         if statement in checked_on and report.applicable:
             other = sharper if statement == weaker else weaker

@@ -97,6 +97,13 @@ def _set_facts(A: FiniteSemigroup, zs: tuple):
     )
 
 
+def set_fact_columns(A: FiniteSemigroup, masks):
+    """_set_facts of the set of each mask in masks, as four lists: omega
+    (math.inf for infinity), span commutes, delta and pillai_delta."""
+    facts = [_set_facts(A, tuple(z for z in range(A.n) if m >> z & 1)) for m in masks]
+    return tuple(map(list, zip(*facts)))
+
+
 def statement_oracle(A: FiniteSemigroup, statement: str, xs, ys):
     """(lhs, rhs, hypotheses) of one catalogued bound on non-empty xs and
     ys, by definition; hypotheses maps each name to its truth value, in the

@@ -171,7 +171,7 @@ def test_theorem_guard_survives_python_O():
     # only the guard in verify_zmod can end the run with exit 3
     boot = (
         "import sys; import addcomb.theorems as t; "
-        "t.pillai_delta = lambda m, Y: 1; "
+        "t._pillai_value = lambda m, S, reduce: 1; "
         "from addcomb.cli import main; sys.exit(main())"
     )
     argv = ["verify", "--semigroup", "cyclic:4", "--x", "{0,2}", "--y", "{0,2}",

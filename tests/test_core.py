@@ -199,6 +199,13 @@ def test_element_order_pins():
     assert [ac.element_order(q8, z).value for z in range(8)] == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+def test_element_order_rejects_an_index_outside_the_carrier():
+    z5 = ac.cyclic(5)
+    for z in (-1, 5, 64, True, "1"):
+        with pytest.raises(ac.IndexOutOfRange):
+            ac.element_order(z5, z)
+
+
 def test_element_order_matches_oracle_everywhere():
     for A in (ac.cyclic(9), ac.dihedral(4), ac.maxchain(5), ac.leftzero(4)):
         for z in range(A.n):

@@ -11,19 +11,26 @@ the definition written out with plain sets.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import addcomb as ac
-from addcomb.constants import _omega_value
+import addcomb.sweep  # noqa: F401 - loads the submodule
+from addcomb.constants import _delta_value, _omega_value, _pillai_value
+from addcomb.core import INF
+from addcomb.setops import _commutes
 from addcomb.theorems import is_standard_cyclic, statement_info
 from support import (
     closure_oracle,
     omega_oracle,
     order_oracle,
+    set_fact_columns,
     statement_oracle,
     sumset_oracle,
 )
@@ -125,17 +132,43 @@ def test_carrier_tables_match_definitions(A):
     for z0 in range(n):
         inv = A.inverse(z0)
         if inv is None:
-            assert A._diff_order[z0] is None
+            assert A._omega_w[z0] == (0,) * n
         else:
-            assert A._diff_order[z0] == tuple(order_oracle(A, t[z][inv]) for z in range(n))
+            want = [order_oracle(A, t[z][inv]) for z in range(n)]
+            want[z0] = INF
+            assert A._omega_w[z0] == tuple(want)
+        assert A._commute_w[z0] == tuple(int(t[z0][z] == t[z][z0]) for z in range(n))
     # p over the unitization, by its definition
     U = ac.unitization(A)
     orders = [order_oracle(U, z) for z in range(U.n) if z != U.identity]
     want_p = min(orders) if orders else None
-    assert A._p == want_p
+    assert A._p == (INF if want_p is None else want_p)
     assert ac.p_constant(A) == (ac.INFINITY if want_p is None else want_p)
     cyclic = all(t[a][b] == (a + b) % n for a in range(n) for b in range(n))
     assert is_standard_cyclic(A) == cyclic
+
+
+@SETTINGS
+@given(carriers(), st.integers(1, 2))
+def test_sweep_feature_columns_match_oracles(A, cap):
+    # the constants definitions on a capped sweep context's reduction,
+    # against the plain-set definitions
+    ctx = sys.modules["addcomb.sweep"]._SweepContext(A, "CD-1813", cap)
+    # the split-table path also has columns for {} and for masks above the
+    # cap, which the sweep gates out and whose features it reads from only
+    # their first cap elements
+    keep = (ctx.pc >= 1) & (ctx.pc <= cap)
+    got = [
+        np.broadcast_to(column, len(ctx.cols))[keep].tolist()
+        for column in (
+            _omega_value(A, ctx.cols, ctx._reduce),
+            _commutes(A, ctx.cols, ctx._reduce),
+            _delta_value(A.n, ctx.cols, ctx._reduce),
+            _pillai_value(A.n, ctx.cols, ctx._reduce),
+        )
+    ]
+    omega, commutes, delta, pillai = set_fact_columns(A, ctx.cols[keep].tolist())
+    assert got == [[INF if w == math.inf else w for w in omega], commutes, delta, pillai]
 
 
 @SETTINGS
@@ -147,7 +180,7 @@ def test_constants_and_setops_match_oracles(case):
     assert ac.span_is_commutative(A, Y) == _span_commutes(A, ys)
     for zs in (xs, ys):
         want = omega_oracle(A, zs)
-        assert _omega_value(A, _es(A, zs).mask) == want
+        assert _omega_value(A, _es(A, zs).mask) == (INF if want is None else want)
         overall = ac.omega(A, _es(A, zs)).overall
         assert overall == (ac.INFINITY if want is None else want)
     wx, wy = omega_oracle(A, xs), omega_oracle(A, ys)

@@ -151,6 +151,16 @@ def test_span_is_commutative():
     assert not ac.span_is_commutative(q8, _s(8, 2, 4))  # i and j
 
 
+def test_span_is_commutative_checks_the_set_on_every_carrier():
+    # the wrong carrier, and not a set, on a commutative and a
+    # non-commutative carrier alike
+    for A in (ac.cyclic(5), ac.dihedral(3)):
+        with pytest.raises(ValueError):
+            ac.span_is_commutative(A, _s(7, 3))
+        with pytest.raises(TypeError):
+            ac.span_is_commutative(A, "junk")
+
+
 def test_span_is_commutative_matches_closure_oracle():
     for A in (ac.dihedral(4), ac.quaternion8(), ac.maxchain(4)):
         want = set(commutative_span_masks(A))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import sys
 import types
@@ -12,8 +13,16 @@ import pytest
 
 import addcomb as ac
 import addcomb.sweep  # noqa: F401 - loads the submodule
-from addcomb.theorems import is_standard_cyclic
-from support import commutative_span_masks, statement_oracle, sumset_oracle
+import addcomb.theorems as th
+from addcomb.constants import _delta_value, _omega_value, _pillai_value
+from addcomb.core import INF
+from addcomb.setops import _commutes
+from support import (
+    commutative_span_masks,
+    set_fact_columns,
+    statement_oracle,
+    sumset_oracle,
+)
 
 # the package re-exports the sweep *function* under the same name, so reach
 # the submodule through sys.modules
@@ -229,10 +238,10 @@ def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
     n = A.n
     false_omega = n + 3
 
-    def inflated_omega(ctx):
-        return np.full(len(ctx.cols), false_omega, dtype=np.int64)
+    def inflated_omega(A, S, reduce):
+        return np.full(len(S), false_omega, dtype=np.int64)
 
-    monkeypatch.setattr(sweep_mod._SweepContext, "_omega_table", inflated_omega)
+    monkeypatch.setattr(th, "_omega_value", inflated_omega)
 
     masks = _swept_masks(n, max_size)
     want = []
@@ -279,25 +288,24 @@ def test_capped_violation_witnesses_match_brute_force(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _assert_tables_match_scalar(A, max_size=None):
+def _assert_tables_match_oracles(A, max_size=None):
+    """The sweep's columns of omega, span commutativity, delta and
+    pillai_delta, each the constants definition on the context's reduction,
+    against the plain-set definitions of support.py."""
     ctx = sweep_mod._SweepContext(A, "CD-1813", max_size)
-    omega = ctx._omega_table()
-    commute = ctx._commute_table()
-    cyclic = is_standard_cyclic(A)
-    if cyclic:
-        delta = ctx._gcd_table(np.minimum)
-        pillai = ctx._gcd_table(np.maximum)
-    for c, m in enumerate(ctx.cols.tolist()):
-        if m == 0:
-            continue
-        Z = ac.ElementSet(A.n, m)
-        want = ac.omega(A, Z).overall
-        want = want.value if want.is_finite else sweep_mod._INF
-        assert omega[c] == want, (A.label, m)
-        assert commute[c] == ac.span_is_commutative(A, Z), (A.label, m)
-        if cyclic:
-            assert delta[c] == ac.delta(A.n, Z), (A.label, m)
-            assert pillai[c] == ac.pillai_delta(A.n, Z), (A.label, m)
+    keep = ctx.cols != 0
+    got = [
+        np.broadcast_to(column, len(ctx.cols))[keep].tolist()
+        for column in (
+            _omega_value(A, ctx.cols, ctx._reduce),
+            _commutes(A, ctx.cols, ctx._reduce),
+            _delta_value(A.n, ctx.cols, ctx._reduce),
+            _pillai_value(A.n, ctx.cols, ctx._reduce),
+        )
+    ]
+    omega, commutes, delta, pillai = set_fact_columns(A, ctx.cols[keep].tolist())
+    want = [[INF if w == math.inf else w for w in omega], commutes, delta, pillai]
+    assert got == want, A.label
     return ctx
 
 
@@ -311,9 +319,9 @@ def test_feature_tables_match_scalar_constants():
         ac.leftzero(4),
     ]
     for A in carriers:
-        assert _assert_tables_match_scalar(A).split
+        assert _assert_tables_match_oracles(A).split
     # the index path: 1,350 capped masks of cyclic:20
-    assert not _assert_tables_match_scalar(ac.cyclic(20), 3).split
+    assert not _assert_tables_match_oracles(ac.cyclic(20), 3).split
 
 
 _ORBIT_CARRIERS = {

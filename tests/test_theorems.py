@@ -276,12 +276,12 @@ def test_theorem_guards_raise_theorem_violated(monkeypatch):
 
     with monkeypatch.context() as m:
         # the Pillai right side may not exceed the sharper Cor2.9 one
-        m.setattr(th, "pillai_delta", lambda mod, Y: 1)
+        m.setattr(th, "_pillai_value", lambda mod, S, reduce: 1)
         with pytest.raises(ac.TheoremViolated):
             ac.verify_zmod(4, _s(4, 0, 2), _s(4, 0, 2))
     with monkeypatch.context() as m:
         # the omega-based right side may not fall below the p-constant one
-        m.setattr(th, "_omega_value", lambda A, mask: 0)
+        m.setattr(th, "_omega_value", lambda A, S, reduce: 0)
         with pytest.raises(ac.TheoremViolated):
             ac.verify_hk(ac.cyclic(5), _s(5, 0, 1), _s(5, 0, 1))
     with monkeypatch.context() as m:
@@ -300,10 +300,10 @@ def test_theorem_guards_raise_theorem_violated(monkeypatch):
     "statement, patch, m",
     [
         # a false pillai_delta of 1 lifts the Pillai right side above Cor2.9's
-        ("Pillai", ("pillai_delta", lambda mod, Y: 1), 4),
-        ("Cor2.9", ("pillai_delta", lambda mod, Y: 1), 4),
+        ("Pillai", ("_pillai_value", lambda mod, S, reduce: 1), 4),
+        ("Cor2.9", ("_pillai_value", lambda mod, S, reduce: 1), 4),
         # a false omega of 0 drops the Thm2.2 right side below HK's
-        ("HK", ("_omega_value", lambda A, mask: 0), 5),
+        ("HK", ("_omega_value", lambda A, S, reduce: 0), 5),
     ],
 )
 def test_run_statement_forces_each_guard(monkeypatch, statement, patch, m):
