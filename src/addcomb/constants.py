@@ -10,14 +10,14 @@ difference z - z0 is the single element z + inverse(z0), which exists
 precisely because z0 ranges over units.  On the integers mod m there is a
 closed gcd form, kept here as an independent cross-check.
 
-Each constant of a set S reduces one matrix w with the reduction passed in,
-core._reduce on a mask by default or the sweep's on arrays of masks:
+Each constant of a set S reduces one table w over the z0 in S (its units,
+for omega) with the reduction passed in: core._reduce, or the sweep's.
 
     constant                     w                           inner  outer
-    omega                        A._omega_w: ord(z - z0)     min    max
+    omega (z0 units)             A._omega_w: ord(z - z0)     min    max
     delta                        _gcd_w(m): gcd(m, z - z0)   max    min
     pillai_delta                 _gcd_w(m)                   max    max
-    span commutes (setops)       A._commute_w                min    min
+    span commutes (setops)       A._commute_w: masks         None   and_
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .core import ElementSet, ExtendedNat, FiniteSemigroup, _reduce, cyclic, extended
+from .core import (
+    ElementSet, ExtendedNat, FiniteSemigroup, _frozen, _reduce, cyclic, extended, iter_bits
+)
 from .errors import EmptySet, PreconditionFailed
 
 
@@ -44,7 +47,7 @@ class OmegaBreakdown:
 
 def _omega_value(A: FiniteSemigroup, S, reduce=_reduce):
     """omega of S, INF for infinity."""
-    return reduce(A._omega_w, min, max, S)
+    return reduce(A._omega_w, min, max, S, A.units.mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,11 +72,14 @@ def _pillai_value(m: int, S, reduce=_reduce):
 def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
     """Full breakdown of omega(Z); overall 0 when Z contains no unit."""
     A.check_set(Z)
-    w, zs = A._omega_w, Z.elements()
-    rows = [(z0, min([w[z0][z] for z in zs])) for z0 in zs if A.units.mask >> z0 & 1]
-    return OmegaBreakdown(
-        rows=tuple((z0, extended(inner)) for z0, inner in rows),
-        overall=extended(_omega_value(A, Z.mask)),
+    units = iter_bits(Z.mask & A.units.mask)
+    # the rows of _omega_value; repeating an element keeps get's result a tuple
+    get = units and itemgetter(*iter_bits(Z.mask), units[0])
+    inners = [min(get(A._omega_w[z0])) for z0 in units]
+    return _frozen(
+        OmegaBreakdown,
+        rows=tuple(zip(units, map(extended, inners))),
+        overall=extended(max(inners, default=0)),
     )
 
 
@@ -95,9 +101,9 @@ def cd_constant(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat
     A.check_set(X)
     A.check_set(Y)
     if X.mask == 0 or Y.mask == 0:
-        return ExtendedNat(0)
+        return extended(0)
     omega_xy = max(_omega_value(A, X.mask), _omega_value(A, Y.mask))
-    return ExtendedNat(min(omega_xy, len(X) + len(Y) - 1))
+    return extended(min(omega_xy, len(X) + len(Y) - 1))
 
 
 def delta(m: int, Z: ElementSet) -> int:
@@ -138,7 +144,7 @@ def omega_gcd_crosscheck(m: int, Z: ElementSet) -> tuple[ExtendedNat, ExtendedNa
             "omega_gcd_crosscheck needs |Z| >= 2 (a singleton has omega infinity)",
         )
     via_ord = omega(_cyclic_cached(m), Z).overall
-    via_gcd = ExtendedNat(m // delta(m, Z))
+    via_gcd = extended(m // delta(m, Z))
     return (via_ord, via_gcd)
 
 

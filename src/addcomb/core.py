@@ -16,19 +16,20 @@ scalar paths read instead of recomputing them on every call:
 - ``_orders[z]``: the order |{z, z+z, ...}| of z;
 - ``_omega_w[z0][z]``: ord(z + inverse(z0)) for a unit z0, with INF on the
   diagonal, and 0 throughout the row of a non-unit z0;
-- ``_commute_w[a][b]``: 1 when a + b = b + a, else 0;
+- ``_commute_w[a]``: the mask of the b with a + b = b + a;
 - ``_preimage[y][z]``: the mask of the w with w + y = z, which may have
   several bits on a non-cancellative carrier;
 - ``_p``: the least order of a non-identity element of the unitization,
   INF for the trivial monoid;
 - ``_standard_cyclic``: whether the table is addition mod n on the indices.
 
-Each set constant is one such matrix and one reduction (see ``_reduce``),
+Each set constant is one such table and one reduction (see ``_reduce``),
 evaluated on a mask here and on arrays of masks by the sweep.
 
 The library works on bit masks and plain ints, with the integer INF for
-infinity, and wraps results in ``ElementSet`` and ``ExtendedNat`` only when
-it returns them.
+infinity, and wraps results only when it returns them, without re-checking
+them: ``extended`` reads shared ``ExtendedNat`` values, ``_set`` builds an
+``ElementSet`` and ``_frozen`` a frozen dataclass directly.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ class ExtendedNat:
     def __setattr__(self, *_):
         raise AttributeError("ExtendedNat is immutable")
 
+    def __reduce__(self):
+        return (ExtendedNat, (self.value,))
+
     def to_json(self):
         return "infinity" if self.value is None else self.value
 
@@ -154,22 +158,37 @@ class ExtendedNat:
 
 
 INFINITY = ExtendedNat(None)
+_EXTENDED = (*map(ExtendedNat, range(INF)), INFINITY)
 
 
 def extended(value: int) -> ExtendedNat:
-    """value as an ExtendedNat, INF as infinity."""
-    return INFINITY if value == INF else ExtendedNat(value)
+    """value, in [0, INF], as a shared ExtendedNat, INF as infinity."""
+    return _EXTENDED[value]
 
 
-def _reduce(w, inner, outer, mask: int) -> int:
-    """outer over z0 in S of (inner over z in S of w[z0][z]), for the set S
-    of mask: a singleton gets the diagonal, which inner must otherwise
-    ignore, and an empty S gets 0 under max and INF under min."""
+def _frozen(cls, **fields):
+    """The frozen dataclass cls with these fields, all of them in order,
+    set at once rather than one object.__setattr__ each by its __init__."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:
+    """outer over the z0 of rows in S of (inner over z in S of w[z0][z]),
+    for the set S of mask.  A singleton gets the diagonal, which inner must
+    otherwise ignore, and no z0 gives 0 under max and INF under min.  With
+    inner None, w[z0] is a mask and outer the operator and_, from -1."""
     zs = iter_bits(mask)
-    if len(zs) < 2:
-        return w[zs[0]][zs[0]] if zs else (0 if outer is max else INF)
+    z0s = zs if mask & rows == mask else iter_bits(mask & rows)
+    if inner is None:
+        return functools.reduce(outer, map(w.__getitem__, z0s), -1)
+    if not z0s:
+        return 0 if outer is max else INF
+    if len(zs) == 1:
+        return w[zs[0]][zs[0]]
     get = itemgetter(*zs)
-    return outer(map(inner, map(get, get(w))))
+    return outer(map(inner, map(get, get(w) if z0s is zs else map(w.__getitem__, z0s))))
 
 
 class ElementSet:
@@ -188,6 +207,9 @@ class ElementSet:
     def __setattr__(self, *_):
         raise AttributeError("ElementSet is immutable")
 
+    def __reduce__(self):
+        return (ElementSet, (self.n, self.mask))
+
     @classmethod
     def of(cls, n: int, *elements: int) -> "ElementSet":
         return cls.from_elements(n, elements)
@@ -196,9 +218,7 @@ class ElementSet:
     def from_elements(cls, n: int, elements) -> "ElementSet":
         mask = 0
         for z in elements:
-            if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < n:
-                raise IndexOutOfRange("element %r outside carrier [0, %d)" % (z, n))
-            mask |= 1 << z
+            mask |= _bit(z, n)
         return cls(n, mask)
 
     @classmethod
@@ -288,6 +308,22 @@ class ElementSet:
         return "ElementSet.parse(%r, %d)" % (str(self), self.n)
 
 
+def _bit(z, n: int) -> int:
+    """1 << z, for an element z of the carrier [0, n)."""
+    if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < n:
+        raise IndexOutOfRange("element %r outside carrier [0, %d)" % (z, n))
+    return 1 << z
+
+
+def _set(n: int, mask: int, _n=ElementSet.n.__set__, _mask=ElementSet.mask.__set__):
+    """ElementSet(n, mask) without its checks, for a mask computed from
+    checked sets over the carrier [0, n); the defaults set its slots."""
+    S = object.__new__(ElementSet)
+    _n(S, n)
+    _mask(S, mask)
+    return S
+
+
 class FiniteSemigroup:
     """A validated finite semigroup on the carrier [0, n).
 
@@ -367,11 +403,11 @@ class FiniteSemigroup:
         object.__setattr__(self, "units", ElementSet(n, units_mask))
 
         commute_w = tuple(
-            tuple(int(v == table[b][a]) for b, v in enumerate(row))
+            sum(1 << b for b, v in enumerate(row) if v == table[b][a])
             for a, row in enumerate(table)
         )
         object.__setattr__(self, "_commute_w", commute_w)
-        object.__setattr__(self, "is_commutative", all(map(all, commute_w)))
+        object.__setattr__(self, "is_commutative", all(c + 1 == 1 << n for c in commute_w))
         full = set(range(n))
         cancellative = all(set(row) == full for row in table) and all(
             {table[a][b] for a in range(n)} == full for b in range(n)
@@ -511,9 +547,8 @@ def element_order(A: FiniteSemigroup, z: int) -> ExtendedNat:
     Always finite on a finite carrier, but typed as an extended natural to
     match the quantities built on top of it.
     """
-    if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < A.n:
-        raise IndexOutOfRange("element %r outside carrier [0, %d)" % (z, A.n))
-    return ExtendedNat(A._orders[z])
+    _bit(z, A.n)
+    return extended(A._orders[z])
 
 
 def generated_subsemigroup(A: FiniteSemigroup, Z: ElementSet) -> ElementSet:
@@ -529,7 +564,7 @@ def generated_subsemigroup(A: FiniteSemigroup, Z: ElementSet) -> ElementSet:
             for z in zs:
                 grown |= row[z]
         if grown == span:
-            return ElementSet(A.n, span)
+            return _set(A.n, span)
         span = grown
 
 
@@ -544,9 +579,8 @@ def p_constant(A: FiniteSemigroup) -> ExtendedNat:
 def centralizer(A: FiniteSemigroup, X: ElementSet) -> ElementSet:
     """Elements commuting with every member of X (full carrier for X empty)."""
     A.check_set(X)
-    w = A._commute_w
-    xs = X.elements()
-    return ElementSet(A.n, sum(1 << z for z in range(A.n) if all(w[z][x] for x in xs)))
+    w, xmask = A._commute_w, X.mask
+    return _set(A.n, sum(1 << z for z in range(A.n) if w[z] & xmask == xmask))
 
 
 # ---------------------------------------------------------------------------

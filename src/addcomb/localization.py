@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import _omega_value
-from .core import ElementSet, FiniteSemigroup, iter_bits
+from .core import ElementSet, FiniteSemigroup, _frozen, _set, iter_bits
 from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
 from .setops import _commutes
 
@@ -93,9 +93,10 @@ def localize(
     """Pick representatives z_i in (x_i + Y) - Z, pairwise distinct.
 
     Requires a cancellative carrier, a commutative span of Y, and
-    |X + Y| < omega(Y).  Z defaults to x_1 + {y_1, ..., y_{l-1}}; any
-    (l-1)-subset of X + Y is accepted.  Under these hypotheses a full
-    matching always exists; not finding one would be an internal error.
+    |X + Y| < omega(Y).  Z defaults to x_1 + {y_1, ..., y_{l-1}}, which is
+    (x_1 + Y) minus x_1 + y_l on a cancellative carrier; any (l-1)-subset
+    of X + Y is accepted.  Under these hypotheses a full matching always
+    exists; not finding one would be an internal error.
     """
     A.check_set(X)
     A.check_set(Y)
@@ -108,14 +109,13 @@ def localize(
     bit_table = A._bit_table
     # x + Y as a mask for each x in X: the rows of the sum matrix
     row_sums = []
+    total = 0
     for x in xs:
         row = bit_table[x]
         s = 0
         for y in ys:
             s |= row[y]
         row_sums.append(s)
-    total = 0
-    for s in row_sums:
         total |= s
     failed = []
     if not A.is_cancellative:
@@ -129,11 +129,8 @@ def localize(
 
     n = A.n
     if Z is None:
-        row = bit_table[xs[0]]
-        zmask = 0
-        for y in ys[:-1]:
-            zmask |= row[y]
-        Z = ElementSet(n, zmask)
+        zmask = row_sums[0] & ~bit_table[xs[0]][ys[-1]]
+        Z = _set(n, zmask)
     else:
         A.check_set(Z)
         zmask = Z.mask
@@ -156,7 +153,7 @@ def localize(
             "localized set has %d elements, expected k + l - 1 = %d"
             % (witness.bit_count(), len(xs) + len(ys) - 1)
         )
-    return LocalizationResult(Z=Z, representatives=tuple(matched))
+    return _frozen(LocalizationResult, Z=Z, representatives=tuple(matched))
 
 
 def _max_matching(rows: list[int], n: int) -> list[int | None]:
@@ -164,27 +161,32 @@ def _max_matching(rows: list[int], n: int) -> list[int | None]:
 
     Deterministic: rows are processed in index order and candidate elements
     in ascending order, so the same input always yields the same matching.
+    A row whose least element is free takes it, as the search would first.
     It stops at the first row that no augmenting path reaches, which stays
     None with every row after it.
     """
     owner: list[int | None] = [None] * n
     matched: list[int | None] = [None] * len(rows)
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for e in iter_bits(rows[i]):
-            if seen[e]:
-                continue
-            seen[e] = True
-            if owner[e] is None or augment(owner[e], seen):
-                owner[e] = i
-                matched[i] = e
-                return True
-        return False
-
-    for i in range(len(rows)):
-        if not augment(i, [False] * n):
+    for i, row in enumerate(rows):
+        e = (row & -row).bit_length() - 1
+        if row and owner[e] is None:
+            owner[e], matched[i] = i, e
+        elif not _augment(i, rows, owner, matched, [False] * n):
             break
     return matched
+
+
+def _augment(i: int, rows, owner, matched, seen: list[bool]) -> bool:
+    """Match row i along an augmenting path through unseen elements."""
+    for e in iter_bits(rows[i]):
+        if seen[e]:
+            continue
+        seen[e] = True
+        if owner[e] is None or _augment(owner[e], rows, owner, matched, seen):
+            owner[e] = i
+            matched[i] = e
+            return True
+    return False
 
 
 def hall_check(sets: list[ElementSet]) -> tuple[bool, tuple[int, ...] | None]:

@@ -7,7 +7,9 @@ so parallel mapping over pair enumerations is safe.
 
 from __future__ import annotations
 
-from .core import ElementSet, FiniteSemigroup, _reduce, generated_subsemigroup, iter_bits
+from operator import and_
+
+from .core import ElementSet, FiniteSemigroup, _reduce, _set, generated_subsemigroup, iter_bits
 from .errors import ValidationError
 
 
@@ -26,7 +28,7 @@ def sumset(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ElementSet:
     """X + Y = {x + y : x in X, y in Y}; empty if either operand is empty."""
     A.check_set(X)
     A.check_set(Y)
-    return ElementSet(A.n, _sumset_mask(A, X.mask, Y.mask))
+    return _set(A.n, _sumset_mask(A, X.mask, Y.mask))
 
 
 def n_fold(A: FiniteSemigroup, Z: ElementSet, k: int) -> ElementSet:
@@ -39,7 +41,7 @@ def n_fold(A: FiniteSemigroup, Z: ElementSet, k: int) -> ElementSet:
     A.check_set(Z)
     if k < 1:
         raise ValidationError("n_fold needs k >= 1, got %d" % k)
-    return ElementSet(A.n, _n_fold_mask(A, Z.mask, k))
+    return _set(A.n, _n_fold_mask(A, Z.mask, k))
 
 
 def _n_fold_mask(A: FiniteSemigroup, zmask: int, k: int) -> int:
@@ -63,7 +65,7 @@ def right_difference(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> Elemen
     """X - Y = {z in the carrier : (z + Y) meets X}."""
     A.check_set(X)
     A.check_set(Y)
-    return ElementSet(A.n, _difference_mask(A, X.mask, Y.mask))
+    return _set(A.n, _difference_mask(A, X.mask, Y.mask))
 
 
 def _difference_mask(A: FiniteSemigroup, xmask: int, ymask: int) -> int:
@@ -89,7 +91,7 @@ def left_difference(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> Element
     for z in range(A.n):
         if any(ymask >> table[x][z] & 1 for x in xs):
             out |= 1 << z
-    return ElementSet(A.n, out)
+    return _set(A.n, out)
 
 
 def span_check(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> tuple[bool, bool, bool]:
@@ -131,6 +133,6 @@ def span_is_commutative(A: FiniteSemigroup, Y: ElementSet) -> bool:
 
 
 def _commutes(A: FiniteSemigroup, S, reduce=_reduce):
-    """Whether the elements of S commute pairwise: whether the min over z0
-    and z in S of A._commute_w[z0][z] is 1 (or INF, for S empty)."""
-    return A.is_commutative or reduce(A._commute_w, min, min, S) > 0
+    """Whether the elements of S commute pairwise: whether S lies in the
+    AND over z0 in S of A._commute_w[z0], the elements commuting with z0."""
+    return A.is_commutative or reduce(A._commute_w, None, and_, S) & S == S

@@ -61,9 +61,10 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from operator import and_
 
-from .core import ElementSet, FiniteSemigroup
-from .errors import CarrierTooLarge, NotGroup
+from .core import INF, ElementSet, FiniteSemigroup
+from .errors import CarrierTooLarge
 
 CHUNK = 512
 VECTOR_LIMIT = 16
@@ -245,14 +246,19 @@ class _SweepContext:
                 gy = gy if side == "x" else gy & column(test)
         return gx, gy, column(entry.u), column(entry.v), either
 
-    def _reduce(self, w, inner, outer, cols) -> np.ndarray:
-        """core._reduce, as uint8, on the set S of each column of cols, which
-        are self.cols.  The padding repeats an element of S, which min and
-        max ignore."""
-        ufunc = {min: np.minimum, max: np.maximum}
-        inner, outer = ufunc[inner], ufunc[outer]
-        flat = np.array(w, dtype=np.uint8).ravel()
+    def _reduce(self, w, inner, outer, cols, rows=-1) -> np.ndarray:
+        """core._reduce, as uint8 (uint64 for inner None), on the set S of
+        each column of cols, which are self.cols.  The padding repeats an
+        element of S, which min, max and and_ ignore.  A row z0 outside
+        rows reduces to outer's identity, as core._reduce skips it."""
+        ufunc = {min: np.minimum, max: np.maximum, and_: np.bitwise_and}
+        inner, outer = ufunc.get(inner), ufunc[outer]
         idx = np.ascontiguousarray(self.idx.T)
+        if inner is None:
+            return functools.reduce(outer, map(np.array(w, dtype=np.uint64).__getitem__, idx))
+        w = np.array(w, dtype=np.uint8)
+        w[[not rows >> z0 & 1 for z0 in range(self.n)]] = 0 if outer is np.maximum else INF
+        flat = w.ravel()
         out = None
         for z0 in idx.astype(np.uint16) * self.n:
             acc = flat[z0 + idx[0]]
@@ -466,17 +472,11 @@ def sweep(
     fixed-size chunks of the X space over worker processes; the summary is
     identical (byte-identical once serialized) for every jobs value.
     """
-    from .theorems import is_standard_cyclic, normalize_statement, statement_info
+    from .theorems import _check_carrier, normalize_statement
 
     started = time.monotonic()
     statement = normalize_statement(statement)
-    info = statement_info(statement)
-    if info.needs_cyclic and not is_standard_cyclic(A):
-        raise NotGroup(
-            "statement %s needs the standard integers-mod-m table" % statement
-        )
-    if info.needs_group and not A.is_group:
-        raise NotGroup("statement %s is stated for groups" % statement)
+    _check_carrier(A, (statement,))
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
     if A.n > VECTOR_LIMIT and max_size is None:

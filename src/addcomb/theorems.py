@@ -27,9 +27,11 @@ from .core import (
     ElementSet,
     ExtendedNat,
     FiniteSemigroup,
+    _frozen,
     _reduce,
     cyclic,
     dihedral,
+    extended,
     maxchain,
     product,
     quaternion8,
@@ -51,6 +53,7 @@ class BoundReport:
         return tuple(name for name, holds in self.hypotheses if not holds)
 
 
+@functools.cache
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
@@ -167,8 +170,8 @@ DOMINANCE = {
 }
 
 
-def _hypotheses(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: ElementSet):
-    """The hypotheses of entry on a pair of non-empty sets, as (name,
+def _hypotheses(A: FiniteSemigroup, entry: _Statement, x: int, y: int):
+    """The hypotheses of entry on a pair of non-empty masks, as (name,
     holds), and whether they all hold."""
     hyps = []
     applicable = True
@@ -178,52 +181,59 @@ def _hypotheses(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: Element
         if side == "carrier":
             holds = test(A)
         elif side == "x":
-            holds = test(A, X.mask, _reduce)
+            holds = test(A, x, _reduce)
         elif side == "y":
-            holds = test(A, Y.mask, _reduce)
+            holds = test(A, y, _reduce)
         elif side == "either":
-            holds = test(A, X.mask, _reduce) or test(A, Y.mask, _reduce)
+            holds = test(A, x, _reduce) or test(A, y, _reduce)
         else:
-            holds = test(A, len(X) + len(Y) - 1)
+            holds = test(A, x.bit_count() + y.bit_count() - 1)
         hyps.append((name, holds))
         applicable = applicable and holds
     return tuple(hyps), applicable
 
 
-def _rhs(A: FiniteSemigroup, entry: _Statement, X: ElementSet, Y: ElementSet) -> int:
-    """The right side of entry on a pair of non-empty sets."""
-    u = _BOUNDS[entry.u](A, X.mask, _reduce)
-    return min(max(u, _BOUNDS[entry.v](A, Y.mask, _reduce)), len(X) + len(Y) - 1)
+def _rhs(A: FiniteSemigroup, entry: _Statement, x: int, y: int) -> int:
+    """The right side of entry on a pair of non-empty masks."""
+    u = _BOUNDS[entry.u](A, x, _reduce)
+    return min(max(u, _BOUNDS[entry.v](A, y, _reduce)), x.bit_count() + y.bit_count() - 1)
 
 
-def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str):
-    """The reports of the catalog statements on (X, Y), in order; the
-    carrier and the sets are checked, and |X + Y| computed, once.  Raises
-    NotGroup on a carrier one of them is not about."""
-    entries = [CATALOG[statement] for statement in statements]
-    for statement, entry in zip(statements, entries):
-        if entry.needs_cyclic and not A._standard_cyclic:
+def _check_carrier(A: FiniteSemigroup, statements, *sets: ElementSet) -> None:
+    """Raise NotGroup on a carrier that one of the statements is not about:
+    residue statements before the sets are checked, group statements after."""
+    for statement in statements:
+        if CATALOG[statement].needs_cyclic and not A._standard_cyclic:
             raise NotGroup(
                 "statement %s is about residues; the carrier must be cyclic:m "
                 "with the standard table" % statement
             )
-    A.check_set(X)
-    A.check_set(Y)
-    if not A.is_group and any(entry.needs_group for entry in entries):
+    for S in sets:
+        A.check_set(S)
+    if not A.is_group and any(CATALOG[s].needs_group for s in statements):
         raise NotGroup("the p-constant bound is stated for groups")
-    if X.mask == 0 or Y.mask == 0:
+
+
+def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str):
+    """The reports of the catalog statements on (X, Y), in order; the
+    carrier and the sets are checked, and |X + Y| computed, once."""
+    _check_carrier(A, statements, X, Y)
+    x, y = X.mask, Y.mask
+    if x == 0 or y == 0:
         raise EmptySet("bound verifiers need non-empty X and Y")
-    lhs = _sumset_mask(A, X.mask, Y.mask).bit_count()
+    lhs = _sumset_mask(A, x, y).bit_count()
     reports = []
-    for statement, entry in zip(statements, entries):
-        hyps, applicable = _hypotheses(A, entry, X, Y)
-        rhs = _rhs(A, entry, X, Y)
+    for statement in statements:
+        entry = CATALOG[statement]
+        hyps, applicable = _hypotheses(A, entry, x, y)
+        rhs = _rhs(A, entry, x, y)
         reports.append(
-            BoundReport(
+            _frozen(
+                BoundReport,
                 statement=statement,
                 hypotheses=hyps,
                 lhs=lhs,
-                rhs=ExtendedNat(rhs),
+                rhs=extended(rhs),
                 applicable=applicable,
                 satisfied=lhs >= rhs if applicable else None,
             )
@@ -326,9 +336,9 @@ def run_statement(
     for (weaker, sharper), (checked_on, _) in DOMINANCE.items():
         if statement in checked_on and report.applicable:
             other = sharper if statement == weaker else weaker
-            entry = CATALOG[other]
-            if _hypotheses(A, entry, X, Y)[1]:
-                _dominate({statement: report.rhs.value, other: _rhs(A, entry, X, Y)})
+            entry, x, y = CATALOG[other], X.mask, Y.mask
+            if _hypotheses(A, entry, x, y)[1]:
+                _dominate({statement: report.rhs.value, other: _rhs(A, entry, x, y)})
     return report
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSet, FiniteSemigroup, iter_bits
+from .core import ElementSet, FiniteSemigroup, _bit, _frozen, _set, iter_bits
 from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital, NoWitness
 from .setops import _commutes, _difference_mask, _n_fold_mask, _sumset_mask
 
@@ -63,12 +63,13 @@ def transform_candidates(
     A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int = 1
 ) -> ElementSet:
     """(mX + 2Y) minus (X + Y); empty means no transform applies."""
-    return ElementSet(A.n, _candidates(A, X, Y, m)[0])
+    return _set(A.n, _candidates(A, X, Y, m)[0])
 
 
 def _candidates(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
     """(mX + 2Y) minus (X + Y), the shifts (m-1)X ({identity} for m = 1)
-    and X + Y, as masks.  mX + 2Y is computed as shifts + (X + Y) + Y."""
+    and X + Y, as masks.  mX + 2Y is computed as shifts + (X + Y) + Y,
+    which is (X + Y) + Y for m = 1."""
     A.check_set(X)
     A.check_set(Y)
     if A.identity is None:
@@ -79,7 +80,7 @@ def _candidates(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
         raise ValueError("exponent m must be >= 1, got %d" % m)
     shifts = 1 << A.identity if m == 1 else _n_fold_mask(A, X.mask, m - 1)
     xy = _sumset_mask(A, X.mask, Y.mask)
-    head = _sumset_mask(A, _sumset_mask(A, shifts, xy), Y.mask)
+    head = _sumset_mask(A, xy if m == 1 else _sumset_mask(A, shifts, xy), Y.mask)
     return head & ~xy, shifts, xy
 
 
@@ -93,23 +94,23 @@ def apply_transform(
     choice.
     """
     candidates, shifts, xy = _candidates(A, X, Y, m)
-    if z not in ElementSet(A.n, candidates):
+    if not (isinstance(z, int) and z >= 0 and candidates >> z & 1):
         raise CandidateInvalid("z = %d is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
     ys = iter_bits(Y.mask)
     preimage = A._preimage
     for x in iter_bits(shifts):
         base = _sumset_mask(A, 1 << x, xy)  # x + X + Y
         # the y whose preimage of z under + y meets base
-        tilde = [y for y in ys if base & preimage[y][z]]
+        tilde = sum(1 << y for y in ys if base & preimage[y][z])
         if tilde:
-            y_tilde = ElementSet.from_elements(A.n, tilde)
-            return TransformResult(
+            return _frozen(
+                TransformResult,
                 m=m,
                 z=z,
                 x_z=x,
-                y_z=tilde[0],
-                y_tilde=y_tilde,
-                y_prime=Y - y_tilde,
+                y_z=(tilde & -tilde).bit_length() - 1,
+                y_tilde=_set(A.n, tilde),
+                y_prime=_set(A.n, Y.mask & ~tilde),
             )
     raise NoWitness(
         "no witness (x_z, y_z) found for z = %d; candidate membership should "
@@ -130,11 +131,12 @@ def audit_transform(
     cancellative = A.is_cancellative
     commutative_span = _commutes(A, ymask)
 
-    x_z = ElementSet.of(A.n, result.x_z).mask
-    z = ElementSet.of(A.n, result.z).mask
-    shifted_x = _sumset_mask(A, x_z, xmask)  # x_z + X
-    whole = _sumset_mask(A, shifted_x, ymask)  # x_z + X + Y
-    kept = _sumset_mask(A, shifted_x, prime)  # x_z + X + Y'
+    x_z = _bit(result.x_z, A.n)
+    z = _bit(result.z, A.n)
+    xy = _sumset_mask(A, xmask, ymask)
+    xp = _sumset_mask(A, xmask, prime)  # X + Y'
+    whole = _sumset_mask(A, x_z, xy)  # x_z + X + Y
+    kept = _sumset_mask(A, x_z, xp)  # x_z + X + Y'
     reached = _difference_mask(A, z, tilde)  # z - Y_tilde
 
     item_i = (
@@ -148,11 +150,12 @@ def audit_transform(
     item_iii = kept & reached == 0 if commutative_span else None
     item_iv = reached.bit_count() >= tilde.bit_count() if cancellative else None
 
-    v_lhs = _sumset_mask(A, xmask, ymask).bit_count() + prime.bit_count()
-    v_rhs = _sumset_mask(A, xmask, prime).bit_count() + ymask.bit_count()
+    v_lhs = xy.bit_count() + prime.bit_count()
+    v_rhs = xp.bit_count() + ymask.bit_count()
     item_v = v_lhs >= v_rhs if (cancellative and commutative_span) else None
 
-    return TransformAudit(
+    return _frozen(
+        TransformAudit,
         item_i=item_i,
         item_ii=item_ii,
         item_iii=item_iii,

@@ -178,3 +178,29 @@ def hall_oracle_batched(row_lists: list[list[int]]) -> np.ndarray:
     for b in range(max_bits):
         pc_union += (unions >> b) & 1
     return ((pc_union >= pc_sub[None, :]).all(axis=1))
+
+
+def matching_oracle(rows, n: int) -> list:
+    """Augmenting-path matching of rows (bit masks over [0, n)), written
+    with plain sets: row i, in order, tries its elements in ascending order
+    and takes one that is free, or whose owner's row can move along a path
+    of elements not yet tried for row i.  The first row that cannot be
+    matched ends the search; it and every later row stay None."""
+    owner = {}
+    matched = [None] * len(rows)
+
+    def try_row(i, tried):
+        for e in sorted(z for z in range(n) if rows[i] >> z & 1):
+            if e in tried:
+                continue
+            tried.add(e)
+            if e not in owner or try_row(owner[e], tried):
+                owner[e] = i
+                matched[i] = e
+                return True
+        return False
+
+    for i in range(len(rows)):
+        if not try_row(i, set()):
+            break
+    return matched

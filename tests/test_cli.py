@@ -660,3 +660,13 @@ def test_parallel_sweep_that_loads_numpy_equals_serial():
         print(json.dumps([before, parallel == serial, serial["tight"] > 0]))
     """
     assert _fresh(code) == [False, True, True]
+
+
+@pytest.mark.parametrize("spec,statement", [("dihedral:3", "chowla"), ("maxchain:4", "hk")])
+def test_verify_and_sweep_refuse_a_wrong_carrier_alike(capsys, spec, statement):
+    common = ["--semigroup", spec, "--statement", statement]
+    _, v_code, v_out, v_err = run_capture(capsys, ["verify", *common, "--x", "{0}", "--y", "{0,1}"])
+    _, s_code, s_out, s_err = run_capture(capsys, ["sweep", *common, "--max-size", "2"])
+    assert v_code == s_code == cli.EXIT_PRECONDITION
+    assert v_out == s_out == ""
+    assert v_err == s_err and v_err.startswith("error: ") and v_err.count("\n") == 1

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
 import addcomb as ac
+from addcomb.core import INF, extended
 from addcomb.theorems import is_standard_cyclic
 from support import closure_oracle, order_oracle
 
@@ -352,3 +356,62 @@ def test_is_standard_cyclic_matches_its_quadratic_definition():
     assert sum(not quadratic(A) for A in carriers) > 100
     for A in carriers:
         assert is_standard_cyclic(A) == quadratic(A), A.label
+
+
+# ---------------------------------------------------------------------------
+# Values built without their checks keep the contracts of their types
+# ---------------------------------------------------------------------------
+
+
+def _fast_path_results():
+    """(result, the same value from the public constructor) for each result
+    type that a library call builds directly."""
+    d4, z7 = ac.dihedral(4), ac.cyclic(7)
+    X, Y = ac.ElementSet.of(8, 0, 1), ac.ElementSet.of(8, 0, 4)
+    X7, Y7 = ac.ElementSet.of(7, 0, 1), ac.ElementSet.of(7, 0, 2)
+    transformed = ac.apply_transform(z7, X7, Y7, 1, 5)
+    results = [
+        ac.run_statement(d4, "Thm2.2", X, Y),
+        ac.omega(d4, Y),
+        ac.localize(z7, X7, Y7),
+        transformed,
+        ac.audit_transform(z7, X7, Y7, transformed),
+    ]
+    assert [type(r).__name__ for r in results] == [
+        "BoundReport", "OmegaBreakdown", "LocalizationResult", "TransformResult",
+        "TransformAudit",
+    ]
+    pairs = [(ac.sumset(d4, X, Y), ac.ElementSet(8, ac.sumset(d4, X, Y).mask))]
+    for r in results:
+        public = type(r)(**{f.name: getattr(r, f.name) for f in dataclasses.fields(r)})
+        pairs.append((r, public))
+    return pairs
+
+
+def test_fast_path_results_keep_the_value_type_contracts():
+    for fast, public in _fast_path_results():
+        assert type(fast) is type(public)
+        assert fast == public and hash(fast) == hash(public)
+        assert repr(fast) == repr(public)
+        for value in (fast, public):
+            assert pickle.loads(pickle.dumps(value)) == public
+            assert copy.deepcopy(value) == public
+        if dataclasses.is_dataclass(fast):
+            assert dataclasses.fields(fast) == dataclasses.fields(public)
+            assert list(vars(fast).items()) == list(vars(public).items())
+            for f in dataclasses.fields(fast):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(fast, f.name, None)
+        else:
+            with pytest.raises(AttributeError):
+                fast.mask = 0
+
+
+def test_extended_values_are_shared_and_equal_to_fresh_ones():
+    for v in range(INF):
+        assert extended(v) == ac.ExtendedNat(v) == v
+        assert hash(extended(v)) == hash(ac.ExtendedNat(v))
+        assert extended(v) is extended(v)
+    assert extended(INF) is ac.INFINITY
+    assert pickle.loads(pickle.dumps(ac.INFINITY)) == ac.INFINITY
+    assert pickle.loads(pickle.dumps(extended(7))) == 7

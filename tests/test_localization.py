@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import addcomb as ac
 import addcomb.localization  # noqa: F401
 import sys
+from support import matching_oracle
 
 loc_mod = sys.modules["addcomb.localization"]
 
@@ -197,3 +200,32 @@ def test_hall_check_large_family_uses_matching():
 def test_hall_check_rejects_mixed_carriers():
     with pytest.raises(ValueError):
         ac.hall_check([_s(4, 1), _s(5, 1)])
+
+
+# ---------------------------------------------------------------------------
+# The matching routine against the plain-set augmenting-path oracle
+# ---------------------------------------------------------------------------
+
+
+def test_max_matching_takes_a_free_least_element_and_reroutes_a_taken_one():
+    # row 1's least element 0 is row 0's, which moves to 1; row 2 then has
+    # no augmenting path, so it and row 3 stay unmatched
+    rows = [0b011, 0b001, 0b011, 0b100]
+    assert loc_mod._max_matching(rows, 3) == [1, 0, None, None]
+    assert matching_oracle(rows, 3) == [1, 0, None, None]
+    assert loc_mod._max_matching([0b001, 0b010, 0b110], 3) == [0, 1, 2]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        # few elements per row over a small carrier, so that least
+        # elements are often taken and augmenting paths are long
+        st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=n + 2),
+    )
+))
+def test_max_matching_equals_the_augmenting_path_oracle(case):
+    n, row_sets = case
+    rows = [sum(1 << e for e in row) for row in row_sets]
+    assert loc_mod._max_matching(rows, n) == matching_oracle(rows, n)
