@@ -7,8 +7,8 @@ audit, localization via systems of distinct representatives, and ships a
 vectorized harness that exhaustively verifies every catalogued bound on
 small carriers.
 
-The names of core, errors and sweep are bound on import; every other name
-imports its submodule on first access (PEP 562).
+Every name imports its submodule on first access (PEP 562), so importing
+the package loads no submodule.
 """
 
 # each submodule and the public names it exports
@@ -29,6 +29,7 @@ _EXPORTS = {
         "NotGroup", "NotUnital", "ParseError", "PreconditionFailed",
         "TheoremViolated", "UnknownSpec", "ValidationError",
     ),
+    "exhaustive": ("SweepSummary", "TightPair", "Violation", "sweep"),
     "localization": (
         "LocalizationResult", "SumMatrix", "hall_check", "localize", "sum_matrix",
     ),
@@ -36,9 +37,6 @@ _EXPORTS = {
         "left_difference", "n_fold", "right_difference", "span_check",
         "span_is_commutative", "sumset",
     ),
-    # the sweep function replaces the package attribute that importing its
-    # module sets, which a lazy lookup could not do in every import order
-    "sweep": ("SweepSummary", "TightPair", "Violation", "sweep"),
     "theorems": (
         "STATEMENTS", "BoundReport", "builtin_groups", "builtin_monoids",
         "normalize_statement", "run_statement", "verify_cd", "verify_hk",
@@ -60,12 +58,6 @@ def _submodule(name: str):
     # the path of the import statement, which -X importtime reports and
     # importlib.import_module does not
     return __import__(name, globals(), level=1)
-
-
-for _module in ("core", "errors", "sweep"):
-    _mod = _submodule(_module)
-    globals().update((name, getattr(_mod, name)) for name in _EXPORTS[_module])
-del _module, _mod
 
 
 def __getattr__(name: str):

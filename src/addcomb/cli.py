@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -42,9 +41,9 @@ from .errors import (
     TheoremViolated,
     UnknownSpec,
 )
-from .sweep import SweepSummary, sweep
 
 if TYPE_CHECKING:
+    from .exhaustive import SweepSummary
     from .theorems import BoundReport
 
 EXIT_OK = 0
@@ -132,7 +131,6 @@ def _split_pair(inner: str, whole: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RunReport:
     """One command's resolved carrier, result kind, and JSON-ready payload.
 
@@ -141,11 +139,20 @@ class RunReport:
     byte-identical across reruns and across worker counts, and flags such as
     --jobs would otherwise leak into it."""
 
-    spec: str
-    kind: str
-    payload: dict
-    command: tuple[str, ...] = field(compare=False, default=())
-    elapsed_s: float | None = field(compare=False, default=None)
+    __slots__ = ("spec", "kind", "payload", "command", "elapsed_s")
+
+    def __init__(self, spec: str, kind: str, payload: dict,
+                 command: tuple[str, ...] = (), elapsed_s: float | None = None):
+        self.spec, self.kind, self.payload = spec, kind, payload
+        self.command, self.elapsed_s = command, elapsed_s
+
+    def __eq__(self, other):
+        if not isinstance(other, RunReport):
+            return NotImplemented
+        return (self.spec, self.kind, self.payload) == (other.spec, other.kind, other.payload)
+
+    def __repr__(self):
+        return "RunReport(spec=%r, kind=%r, payload=%r)" % (self.spec, self.kind, self.payload)
 
 
 def serialize_report(report: RunReport) -> str:
@@ -303,6 +310,8 @@ def _cmd_verify(args, A, labels):
 
 
 def _cmd_sweep(args, A, labels):
+    from .exhaustive import sweep
+
     summary = sweep(A, args.statement, max_size=args.max_size, jobs=args.jobs)
     code = EXIT_VIOLATION if summary.violation_count else EXIT_OK
     return ("sweep", summary.to_json_dict(), _render_sweep(summary), code)

@@ -2,9 +2,10 @@
 
 A semigroup of order n lives on the carrier [0, n); the operation is a dense
 table with ``table[a][b] = a + b``.  Tables are validated eagerly at
-construction (the O(n^3) associativity scan is negligible at these sizes), so
-everything downstream may assume validity.  Carriers are capped at 64 so that
-subsets are single machine words.
+construction (the O(n^3) associativity scan, one bytes comparison per
+element, is negligible at these sizes), so everything downstream may assume
+validity.  Carriers are capped at 64 so that subsets are single machine
+words.
 
 Element names (r, s, i, j, ...) are a display concern only and never appear
 below the I/O layer.
@@ -98,29 +99,20 @@ class ExtendedNat:
     def is_finite(self) -> bool:
         return self.value is not None
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtendedNat):
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return ExtendedNat(other)
-        return None
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.value == other.value
+        if isinstance(other, ExtendedNat):
+            return self.value == other.value
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.value == other  # never for infinity or a negative int
+        return NotImplemented
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, ExtendedNat):
+            other = other.value
+        elif not isinstance(other, int) or isinstance(other, bool):
             return NotImplemented
-        if self.value is None:
-            return False  # infinity is not less than anything
-        if other.value is None:
-            return True
-        return self.value < other.value
+        # infinity is below nothing; every value is above a negative int
+        return self.value is not None and (other is None or self.value < other)
 
     def __hash__(self):
         # finite values equal their int, so they must hash like it
@@ -367,17 +359,18 @@ class FiniteSemigroup:
                     raise IndexOutOfRange(
                         "table[%d][%d] = %r outside carrier [0, %d)" % (a, b, v, n)
                     )
-        for a in range(n):
-            row_a = table[a]
-            for b in range(n):
-                ab = row_a[b]
-                row_ab = table[ab]
-                row_b = table[b]
-                for c in range(n):
-                    lhs = row_ab[c]
-                    rhs = row_a[row_b[c]]
-                    if lhs != rhs:
-                        raise NonAssociative(a, b, c, lhs, rhs)
+        # for each a, (a + b) + c against a + (b + c) over all b, c at once,
+        # as bytes in scan order: the rows of the a + b joined, and the whole
+        # table translated by row a (entries are below n <= 64, so the rest
+        # of the 256-byte translation table is never read)
+        rows = [bytes(row) for row in table]
+        flat = b"".join(rows)
+        for a, row_a in enumerate(table):
+            lhs = b"".join([rows[ab] for ab in row_a])
+            rhs = flat.translate(rows[a].ljust(256))
+            if lhs != rhs:
+                i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                raise NonAssociative(a, *divmod(i, n), lhs[i], rhs[i])
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)

@@ -39,12 +39,14 @@ the orbit size.  first_tight does not change, since the first X with a
 tight pair is the least of its orbit; a reduced sweep that finds a
 violation is run again unreduced, so that the witness list is exact.
 
+This module is the package's lazy export of sweep and its value types, so
+it loads, and with it dataclasses, on the first sweep; it is not named
+sweep, so that no import order can set the package attribute sweep to it.
 numpy is imported by _load_numpy, which binds the module global np when the
-first _SweepContext is built, so importing the package does not load it;
-forked workers inherit the binding.  Likewise multiprocessing is bound by
-_evaluate when it makes the first pool, unless the global is already set,
-so a jobs=1 sweep never loads it; theorems is imported by sweep and by the
-context's gates and bounds, where they use it.
+first _SweepContext is built; forked workers inherit the binding.  Likewise
+multiprocessing is bound by _evaluate when it makes the first pool, unless
+the global is already set, so a jobs=1 sweep never loads it; theorems is
+imported by sweep and by the context's gates and bounds, where they use it.
 
 Determinism contract: the evaluated X rows are split into fixed-size
 chunks (CHUNK rows each, independent of the worker count), chunks are

@@ -52,7 +52,10 @@ class LocalizationResult:
 
     def witness_set(self) -> ElementSet:
         """Z together with the representatives: k + l - 1 distinct elements."""
-        return self.Z | ElementSet.from_elements(self.Z.n, self.representatives)
+        mask = self.Z.mask
+        for z in self.representatives:
+            mask |= 1 << z
+        return _set(self.Z.n, mask)
 
 
 def sum_matrix(

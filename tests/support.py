@@ -204,3 +204,16 @@ def matching_oracle(rows, n: int) -> list:
         if not try_row(i, set()):
             break
     return matched
+
+
+def associativity_oracle(table):
+    """The first (a, b, c, (a+b)+c, a+(b+c)) in scan order, a then b then c,
+    whose two sides differ, or None for an associative table."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs, rhs = table[table[a][b]][c], table[a][table[b][c]]
+                if lhs != rhs:
+                    return (a, b, c, lhs, rhs)
+    return None

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import addcomb as ac
+import addcomb.exhaustive as exhaustive
 from addcomb import cli
 
 
@@ -147,7 +148,7 @@ def test_exit_precondition(capsys, tmp_path):
 def test_exit_violation_mapping(capsys, monkeypatch):
     # The statements hold on every valid carrier, so a genuine violation
     # cannot be produced; check the exit-code wiring with a doctored summary.
-    real = cli.sweep
+    real = exhaustive.sweep
 
     def doctored(A, statement, max_size=None, jobs=1):
         s = real(A, statement, max_size=max_size, jobs=jobs)
@@ -157,7 +158,7 @@ def test_exit_violation_mapping(capsys, monkeypatch):
         )
         return s
 
-    monkeypatch.setattr(cli, "sweep", doctored)
+    monkeypatch.setattr(exhaustive, "sweep", doctored)
     report, code, out, err = run_capture(
         capsys, ["sweep", "--semigroup", "cyclic:3", "--statement", "cd"]
     )
@@ -538,37 +539,51 @@ def test_non_sweep_commands_leave_numpy_unloaded(argv):
     assert _fresh(code, *argv) == [0, False]
 
 
-@pytest.mark.parametrize("first", ["import addcomb.sweep", "from addcomb import sweep"])
+@pytest.mark.parametrize("first", ["import addcomb.exhaustive", "from addcomb import sweep"])
 def test_package_sweep_is_the_function_in_every_import_order(first):
+    # the engine module is not named sweep, so no submodule can shadow it
     code = """if True:
-        import json, sys
+        import importlib.util, json, sys
         %s
-        import addcomb.sweep
+        import addcomb.exhaustive
         from addcomb import sweep
         import addcomb
         print(json.dumps([addcomb.sweep is sweep, callable(sweep),
-                          sys.modules["addcomb.sweep"].sweep is sweep]))
+                          sys.modules["addcomb.exhaustive"].sweep is sweep,
+                          importlib.util.find_spec("addcomb.sweep") is None]))
     """ % first
-    assert _fresh(code) == [True, True, True]
+    assert _fresh(code) == [True, True, True, True]
 
 
 # ---------------------------------------------------------------------------
 # Start-up: a process loads only the modules that its command uses
 # ---------------------------------------------------------------------------
 
-# the library modules that no spec parsing and no carrier build needs
+# the modules that no spec parsing and no carrier build needs
 UNUSED_AT_SETUP = [
+    "addcomb.exhaustive",
     "addcomb.theorems",
     "addcomb.constants",
     "addcomb.setops",
     "addcomb.localization",
     "addcomb.transform",
+    "dataclasses",
     "multiprocessing",
     "numpy",
 ]
 
 
-def test_parsing_the_query_carriers_loads_only_core_errors_and_sweep():
+def test_importing_the_package_loads_no_submodule():
+    code = """if True:
+        import json, sys
+        import addcomb
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("addcomb"))
+                         + [m for m in %r if m in sys.modules]))
+    """ % UNUSED_AT_SETUP
+    assert _fresh(code) == ["addcomb"]
+
+
+def test_parsing_the_query_carriers_loads_only_core_and_errors():
     code = """if True:
         import json, sys
         from addcomb.cli import parse_spec
@@ -578,7 +593,7 @@ def test_parsing_the_query_carriers_loads_only_core_errors_and_sweep():
                          + [m for m in %r if m in sys.modules]))
     """ % UNUSED_AT_SETUP
     assert _fresh(code, *QUERY_CARRIERS) == [
-        "addcomb", "addcomb.cli", "addcomb.core", "addcomb.errors", "addcomb.sweep"
+        "addcomb", "addcomb.cli", "addcomb.core", "addcomb.errors"
     ]
 
 
@@ -646,10 +661,9 @@ def test_parallel_sweep_that_loads_numpy_equals_serial():
     # cyclic:13 CD-1813 evaluates 631 orbit rows: two chunks, so jobs=2
     # reaches the pool, and the workers are forked from the process whose
     # first sweep has just bound numpy
-    sweep_mod = sys.modules["addcomb.sweep"]
-    ctx = sweep_mod._SweepContext(ac.cyclic(13), "CD-1813", None)
+    ctx = exhaustive._SweepContext(ac.cyclic(13), "CD-1813", None)
     orbit_rows = sum(1 for w in ctx.weight.tolist() if w)
-    assert len(range(0, orbit_rows, sweep_mod.CHUNK)) == 2
+    assert len(range(0, orbit_rows, exhaustive.CHUNK)) == 2
     code = """if True:
         import json, sys
         import addcomb as ac

@@ -6,13 +6,14 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import random
 
 import pytest
 
 import addcomb as ac
 from addcomb.core import INF, extended
 from addcomb.theorems import is_standard_cyclic
-from support import closure_oracle, order_oracle
+from support import associativity_oracle, closure_oracle, order_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,23 @@ def test_extended_nat_hash_agrees_with_eq():
     assert ac.INFINITY in {ac.ExtendedNat(None)}
     assert hash(ac.INFINITY) not in {hash(v) for v in range(-1, 1 << 16)}
     assert len({ac.ExtendedNat(5), 5, ac.INFINITY}) == 2
+
+
+def test_extended_nat_compares_above_every_negative_int():
+    three = ac.ExtendedNat(3)
+    for x in (ac.ExtendedNat(0), three, ac.INFINITY):
+        for v in (-1, -5, -(10**30)):
+            assert not x == v and not v == x and x != v
+            assert v < x and x > v and x >= v and not x < v and not x <= v
+            assert sorted([x, v]) == [v, x]
+    assert three in [-1, 3] and three not in [-1, 4] and ac.INFINITY not in [-1, 3]
+    assert three in {-1, 3} and -1 not in {three, ac.INFINITY}
+    # hash agrees with eq: equal values hash alike, and -1 equals none of them
+    for v in range(-3, 5):
+        for x in (ac.ExtendedNat(max(v, 0)), ac.INFINITY):
+            assert (x == v) == (v >= 0 and x.is_finite and x.value == v)
+            if x == v:
+                assert hash(x) == hash(v)
 
 
 def test_extended_nat_validation_and_immutability():
@@ -128,6 +146,50 @@ def test_non_associative_table_rejected_with_witness():
     # first violating triple in scan order: (1+0)+1 = 0 but 1+(0+1) = 1
     assert exc.value.witness == (1, 0, 1)
     assert "(1+0)+1" in str(exc.value)
+
+
+def _builtin_tables(n):
+    """The tables of the built-in carriers of order n."""
+    carriers = [ac.cyclic(n), ac.leftzero(n), ac.maxchain(n)]
+    if n % 2 == 0 and n >= 6:
+        carriers.append(ac.dihedral(n // 2))
+    if n == 8:
+        carriers.append(ac.quaternion8())
+    if n >= 2:
+        carriers += [ac.unitization(ac.leftzero(n - 1)), ac.unitization(ac.maxchain(n - 1))]
+    for d in range(2, n):
+        if n % d == 0:
+            carriers.append(ac.product(ac.cyclic(d), ac.leftzero(n // d)))
+    return [[list(row) for row in A.table] for A in carriers if A.n == n]
+
+
+def test_associativity_check_equals_the_triple_loop():
+    # one entry of each built-in table perturbed, and random tables: the
+    # check raises at the triple loop's first failing (a, b, c), with its
+    # two sides, and builds every table the loop finds associative
+    rng = random.Random(11)
+    for n in range(1, 13):
+        tables = []
+        for table in _builtin_tables(n):
+            tables.append(table)
+            for _ in range(6):
+                bad = [row[:] for row in table]
+                a, b = rng.randrange(n), rng.randrange(n)
+                bad[a][b] = rng.randrange(n)
+                tables.append(bad)
+        tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(20)]
+        for table in tables:
+            want = associativity_oracle(table)
+            if want is None:
+                assert ac.build_semigroup(table).n == n
+                continue
+            with pytest.raises(ac.NonAssociative) as exc:
+                ac.build_semigroup(table)
+            a, b, c, lhs, rhs = want
+            assert exc.value.witness == (a, b, c)
+            assert str(exc.value) == (
+                "not associative: (%d+%d)+%d = %d but %d+(%d+%d) = %d" % (a, b, c, lhs, a, b, c, rhs)
+            )
 
 
 def test_malformed_tables_rejected():

@@ -229,3 +229,29 @@ def test_max_matching_equals_the_augmenting_path_oracle(case):
     n, row_sets = case
     rows = [sum(1 << e for e in row) for row in row_sets]
     assert loc_mod._max_matching(rows, n) == matching_oracle(rows, n)
+
+
+def test_witness_set_equals_z_with_the_checked_representatives():
+    # the localization battery's carriers below order 11, every pair, and on
+    # cyclic:5 every admissible Z: the witness set built from its mask is
+    # the one built from Z and the representatives element by element
+    seen = 0
+    for A in (ac.cyclic(2), ac.cyclic(3), ac.cyclic(5), ac.cyclic(7), ac.dihedral(4)):
+        n = A.n
+        for xm in range(1, 1 << n):
+            for ym in range(1, 1 << n):
+                X, Y = ac.ElementSet(n, xm), ac.ElementSet(n, ym)
+                zs = [None]
+                if n == 5:
+                    total = ac.sumset(A, X, Y).mask
+                    zs += [ac.ElementSet(n, zm) for zm in range(1 << n)
+                           if zm.bit_count() == len(Y) - 1 and zm & ~total == 0]
+                for Z in zs:
+                    try:
+                        r = ac.localize(A, X, Y, Z)
+                    except ac.PreconditionFailed:
+                        break
+                    old = r.Z | ac.ElementSet.from_elements(n, r.representatives)
+                    assert r.witness_set() == old and type(r.witness_set()) is ac.ElementSet
+                    seen += 1
+    assert seen > 1000

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import addcomb as ac
-import addcomb.sweep  # noqa: F401 - loads the submodule
+import addcomb.exhaustive as sweep_mod
 from addcomb.constants import _delta_value, _omega_value, _pillai_value
 from addcomb.core import INF
 from addcomb.setops import _commutes
@@ -153,7 +152,7 @@ def test_carrier_tables_match_definitions(A):
 def test_sweep_feature_columns_match_oracles(A, cap):
     # the constants definitions on a capped sweep context's reduction,
     # against the plain-set definitions
-    ctx = sys.modules["addcomb.sweep"]._SweepContext(A, "CD-1813", cap)
+    ctx = sweep_mod._SweepContext(A, "CD-1813", cap)
     # the split-table path also has columns for {} and for masks above the
     # cap, which the sweep gates out and whose features it reads from only
     # their first cap elements

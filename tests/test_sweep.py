@@ -5,14 +5,13 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import sys
 import types
 
 import numpy as np
 import pytest
 
 import addcomb as ac
-import addcomb.sweep  # noqa: F401 - loads the submodule
+import addcomb.exhaustive as sweep_mod
 import addcomb.theorems as th
 from addcomb.constants import _delta_value, _omega_value, _pillai_value
 from addcomb.core import INF
@@ -23,10 +22,6 @@ from support import (
     statement_oracle,
     sumset_oracle,
 )
-
-# the package re-exports the sweep *function* under the same name, so reach
-# the submodule through sys.modules
-sweep_mod = sys.modules["addcomb.sweep"]
 
 
 def _swept_masks(n, max_size=None):
