@@ -4,7 +4,7 @@ Carriers are validated Cayley tables over the carrier [0, n); subsets are
 bit-vector sets.  The package computes sumsets, difference sets, the
 order-based bound constants, the candidate-driven set transform with its
 audit, localization via systems of distinct representatives, and ships a
-vectorized harness that exhaustively verifies every catalogued bound on
+bit-parallel harness that exhaustively verifies every catalogued bound on
 small carriers.
 
 Every name imports its submodule on first access (PEP 562), so importing

@@ -25,7 +25,7 @@ scalar paths read instead of recomputing them on every call:
 - ``_standard_cyclic``: whether the table is addition mod n on the indices.
 
 Each set constant is one such table and one reduction (see ``_reduce``),
-evaluated on a mask here and on arrays of masks by the sweep.
+evaluated on a mask here and on column sets of masks by the sweep.
 
 The library works on bit masks and plain ints, with the integer INF for
 infinity, and wraps results only when it returns them, without re-checking
@@ -170,11 +170,11 @@ def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:
     """outer over the z0 of rows in S of (inner over z in S of w[z0][z]),
     for the set S of mask.  A singleton gets the diagonal, which inner must
     otherwise ignore, and no z0 gives 0 under max and INF under min.  With
-    inner None, w[z0] is a mask and outer the operator and_, from -1."""
+    inner None, whether S lies in the outer (and_, from -1) of masks w[z0]."""
     zs = iter_bits(mask)
     z0s = zs if mask & rows == mask else iter_bits(mask & rows)
     if inner is None:
-        return functools.reduce(outer, map(w.__getitem__, z0s), -1)
+        return functools.reduce(outer, map(w.__getitem__, z0s), -1) & mask == mask
     if not z0s:
         return 0 if outer is max else INF
     if len(zs) == 1:

@@ -1,52 +1,43 @@
 """Exhaustive verification sweeps over all subset pairs of a small carrier.
 
-One vectorized engine runs every sweep.  It evaluates a block of
-max(1, 2^16 // columns) X rows against all Y columns at once.  A statement
-is its theorems catalog entry read on arrays built once per column: a row
-and a column gate and a row and a column bound u, v.  The right side
-min(max(u[X], v[Y]), |X| + |Y| - 1) is compared in uint8 with the bounds
-clipped to n + 1, exact since |X + Y| <= n; witnesses carry the unclipped
-value.
+One engine, in plain Python, runs every sweep.  Its columns are the swept
+masks (the non-empty masks within the size cap) ascending, and a column
+set is one int whose bit j stands for column j: a bit-wise operator acts
+on every column at once, and int.bit_count counts columns.  meets(S), the
+columns that meet S, takes one table lookup per byte of the carrier.
 
-Each column is also held as idx, a row of its element indices padded with
-its first element, which the features and both |X + Y| paths read.  The
-features are the catalog's tests and bounds, evaluated with the context's
-_reduce in place of core's: each set constant (omega, delta, pillai_delta,
-span commutativity) reduces the same carrier matrix with the same min and
-max as on a mask, in numpy over idx.
+Kernel.  For an X row, the columns with z in X + Y are those that meet
+P_z(X) = {y : x + y = z for some x in X}, so |X + Y| is the bit-sliced sum
+of n column sets (a carry-save adder tree).  It is compared, bit-sliced,
+with min(max(u[X], v[Y]), |X| + |Y| - 1) clipped to n + 1, exact since
+|X + Y| <= n; that right side is built once per (u[X], |X|, row gate).
+Counts are bit counts, first_tight and the witnesses the lowest and the
+ascending set bits, and witnesses carry the unclipped right side.
 
-|X + Y| takes one of two paths, chosen from the carrier order n and the
-size cap alone:
-
-- split tables, for every uncapped sweep (n <= 16) and for a capped sweep
-  on n <= 16 whose swept masks times the cap reach 2^n.  The columns are
-  all 2^n masks, and out-of-cap ones are gated out.  |X + Y| is the uint8
-  bit count of the outer OR of two subset-OR tables, over the low n // 2
-  and the high elements of Y; each element's tables are built once, and a
-  block ORs together those of each X's elements.
-- index matrices, for every other capped sweep, carriers of up to 64
-  elements included.  The columns are the swept masks.  For a block of X,
-  r[., y] = OR over x in X of the mask of x + y, and |X + Y| is the bit
-  count of the OR of r over the elements of Y in idx, in uint64.
+Features.  A statement is its theorems catalog entry: row and column
+gates, and bounds u, v.  The catalog's tests and bounds run unchanged on
+_Masks in place of a mask and with the context's _reduce in place of
+core's, giving column sets and _Values (a byte per column).  _reduce
+evaluates each set constant in threshold form: omega >= t, for one, holds
+on the OR over units z0 of (the columns holding z0) AND (the columns inside
+{z : w[z0][z] >= t}).
 
 Rows.  An X row whose gate is closed holds no applicable pair, so it is
 not evaluated (under either gate, every row of at most cap_limit elements
 is).  In a group, a left translate g + X has the same |X| and the same
-|X + Y| as X.  When the row gate and u are also equal on every
-left-translation orbit, which is checked on the built arrays g by g, only
-the least mask of each orbit is evaluated, and its counts are weighted by
-the orbit size.  first_tight does not change, since the first X with a
-tight pair is the least of its orbit; a reduced sweep that finds a
-violation is run again unreduced, so that the witness list is exact.
+|X + Y| as X.  When the row gate and u are also constant on each
+left-translation orbit, checked orbit by orbit while the rows are visited
+in ascending order, only the least mask of each orbit is evaluated, and
+its counts are weighted by the orbit size.  first_tight does not change,
+since the first X with a tight pair is the least of its orbit; a reduced
+sweep that finds a violation is run again unreduced, so that the witness
+list is exact.
 
 This module is the package's lazy export of sweep and its value types, so
 it loads, and with it dataclasses, on the first sweep; it is not named
 sweep, so that no import order can set the package attribute sweep to it.
-numpy is imported by _load_numpy, which binds the module global np when the
-first _SweepContext is built; forked workers inherit the binding.  Likewise
-multiprocessing is bound by _evaluate when it makes the first pool, unless
-the global is already set, so a jobs=1 sweep never loads it; theorems is
-imported by sweep and by the context's gates and bounds, where they use it.
+_evaluate imports multiprocessing for its first pool, so a jobs=1 sweep
+never loads it.
 
 Determinism contract: the evaluated X rows are split into fixed-size
 chunks (CHUNK rows each, independent of the worker count), chunks are
@@ -61,25 +52,25 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+import sys
 import time
-from dataclasses import dataclass, field
-from operator import and_
+from dataclasses import asdict, dataclass, field
+from itertools import compress
+from operator import and_, or_
 
-from .core import INF, ElementSet, FiniteSemigroup
+from .core import INF, ElementSet, FiniteSemigroup, iter_bits
 from .errors import CarrierTooLarge
 
 CHUNK = 512
-VECTOR_LIMIT = 16
+VECTOR_LIMIT = 16  # a sweep has at most 2^16 - 1 masks a side, a full one n <= 16
 _MAX_RECORDED = 64
-_BLOCK_PAIRS = 1 << 16  # pairs per kernel block; bounds its temporaries
+_FLAG = bytes(49) + b"\x01" + bytes(206)  # the digit "1" to 1, "0" to 0
+# tables for _where: the digit 1 on the byte t, and on the bytes with bit i
+_DIGIT = [b"0" * t + b"1" + b"0" * (255 - t) for t in range(256)]
+_BIT = [bytes(48 + (b >> i & 1) for b in range(256)) for i in range(8)]
 
-np = None  # numpy, once _load_numpy has run
 multiprocessing = None  # bound by _evaluate when it makes the first pool
-
-
-def _load_numpy() -> None:
-    global np
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -115,30 +106,10 @@ class SweepSummary:
     def to_json_dict(self) -> dict:
         """Machine-readable form; deliberately excludes wall-clock time so
         repeated runs serialize identically."""
-        return {
-            "statement": self.statement,
-            "semigroup": self.semigroup,
-            "carrier_order": self.carrier_order,
-            "max_size": self.max_size,
-            "pairs": self.pairs,
-            "applicable": self.applicable,
-            "satisfied": self.satisfied,
-            "violation_count": self.violation_count,
-            "violations": [
-                {"x": v.x, "y": v.y, "lhs": v.lhs, "rhs": v.rhs}
-                for v in self.violations
-            ],
-            "tight": self.tight,
-            "first_tight": (
-                None
-                if self.first_tight is None
-                else {
-                    "x": self.first_tight.x,
-                    "y": self.first_tight.y,
-                    "value": self.first_tight.value,
-                }
-            ),
-        }
+        out = asdict(self)
+        del out["elapsed_s"]
+        out["violations"] = list(out["violations"])
+        return out
 
 
 @dataclass
@@ -153,93 +124,97 @@ class _Partial:
     first_tight: TightPair | None = None
 
 
+class _Values(bytes):
+    """A bound on every column, one byte each; m // values divides each."""
+
+    def __rfloordiv__(self, m: int) -> _Values:
+        return _Values(self.translate(bytes(m // max(v, 1) for v in range(256))))
+
+
+class _Masks:
+    """The swept masks as the set S of a catalog test: (S & m) == k is the
+    column set of the masks Y with Y & m == k."""
+
+    def __init__(self, ctx: _SweepContext, m: int = -1):
+        self.ctx, self.m = ctx, m
+
+    def __and__(self, m: int) -> _Masks:
+        return _Masks(self.ctx, self.m & m)
+
+    def __eq__(self, k: int) -> int:
+        ctx = self.ctx
+        held = functools.reduce(and_, map(ctx.holding.__getitem__, iter_bits(k)), ctx.all)
+        return held ^ held & ctx.meets(self.m & ~k)
+
+
 class _SweepContext:
     """Precomputed tables for one sweep, shared with the worker processes.
 
-    The swept masks are the columns, in ascending order; on the split-table
-    path the columns are all 2^n masks instead, so that column c is mask c
-    and out-of-cap columns are gated out.  X rows are column positions:
-    rows lists those a sweep evaluates, and weight, unless it is None,
-    holds the orbit size at the least row of each orbit and 0 elsewhere."""
+    cols lists the swept masks, ascending.  X rows are column positions:
+    rows lists those a sweep evaluates, and weight, unless it is None, maps
+    the least row of each orbit, ascending, to the orbit size."""
 
     def __init__(self, A: FiniteSemigroup, statement: str, max_size: int | None):
-        _load_numpy()
         self.A = A
-        n = A.n
-        self.n = n
-        width = n if max_size is None else min(max_size, n)
-        self.n_considered = sum(math.comb(n, k) for k in range(1, width + 1))
-        # per row, the split tables cost 2^n columns, the index matrices
-        # n_considered columns times width gathers
-        self.split = max_size is None or (
-            n <= VECTOR_LIMIT and self.n_considered * width >= 1 << n
-        )
-        if self.split:
-            self.cols = np.arange(1 << n, dtype=np.uint64)
-        else:
-            self.cols = np.array(_capped_masks(n, width), dtype=np.uint64)
-        n_cols = len(self.cols)
-        self.block = max(1, _BLOCK_PAIRS // n_cols)
+        n = self.n = A.n
+        self.cols = cols = _capped_masks(n, n if max_size is None else max_size)
+        N = len(cols)
+        self.all = (1 << N) - 1
+        self.width = (n + 1).bit_length()  # bits of every value up to n + 1
+        masks = struct.pack("<%dQ" % N, *cols)
+        self.holding = [_where(masks[e >> 3 :: 8], _BIT[e & 7]) for e in range(n)]
+        # meet[i][s]: the columns that meet the subset s of elements 8i..8i+7
+        held, self.meet = self.holding + [0] * (-n % 8), []
+        for i in range(0, n, 8):
+            t = [0] * 256
+            for s in range(1, 256):
+                t[s] = t[s & (s - 1)] | held[i + (s & -s).bit_length() - 1]
+            self.meet.append(t)
+        # pre[x]: the masks P_z({x}) = {y : x + y = z}, one field of
+        # len(meet) bytes per z, ascending
+        field_bits = 8 * len(self.meet)
+        self.pre = [sum(1 << (field_bits * z + y) for y, z in enumerate(row)) for row in A.table]
+        sizes = bytes(map(int.bit_count, cols))
+        self.by_size = [_where(sizes, _DIGIT[s]) for s in range(n + 1)]
 
-        pc = np.bitwise_count(self.cols)
-        self.pc = pc
-        ok = (pc >= 1) & (pc <= width)
-        # |Y| - 1 on the sizes swept; other columns get a value that puts
-        # |X| + |Y| - 1 above every cap_limit
-        self.ycap = np.where(ok, pc - 1, 2 * n).astype(np.uint8)
-        self.idx = _element_index(self.cols, width)
-
-        if self.split:
-            # OR distributes over the elements of X, so each element's
-            # subset-OR tables over the low and the high columns are built
-            # once here; a block ORs together the tables of its X's elements
-            M = np.array(A._bit_table, dtype=np.uint32)
-            self.lo = _subset_or(M[:, : n // 2])
-            self.hi = _subset_or(M[:, n // 2 :])
-        else:
-            # M[x, j] = bit mask of the single element x + j
-            self.M = np.array(A._bit_table, dtype=np.uint64)
-
-        gx, gy, u, v, either = self._gates_and_bounds(statement)
-        gx, gy, self.u, self.v = (np.broadcast_to(f, n_cols) for f in (gx, gy, u, v))
-        # pairs outside the hypotheses get rhs 255; every bound below is
-        # clipped to n + 1, which compares like any larger bound since
-        # lhs <= n
-        self.skip_x = np.where(gx, 0, 255).astype(np.uint8)
-        self.skip_y = np.where(gy & ok, 0, 255).astype(np.uint8)
-        self.skip = np.bitwise_and if either else np.bitwise_or
-        self.u8 = np.minimum(self.u, n + 1).astype(np.uint8)
-        self.v8 = np.minimum(self.v, n + 1).astype(np.uint8)
+        gx, self.gy, self.u, self.v, self.either = self._gates_and_bounds(statement)
+        clip = bytes(min(t, n + 1) for t in range(256))
+        self.u8, v8 = self.u.translate(clip), self.v.translate(clip)
+        self.vparts = [(t, _where(v8, _DIGIT[t])) for t in set(v8)]
+        self.gx = _flags(gx, N)
         # under either gate, only rows of at most cap_limit elements count
-        self.rows = np.flatnonzero(ok & (pc <= self.cap_limit) if either else ok & gx)
+        rows = self._size_at_most(self.cap_limit) if self.either else gx
+        self.rows = list(compress(range(N), _flags(rows, N)))
+        self._rights = {}  # _right by its arguments
         self.weight = self._orbit_weights() if A.is_group else None
 
     def _gates_and_bounds(self, statement: str):
-        """The catalog entry of statement as row and column gates and
-        bounds u, v, arrays over the columns or scalars, then whether one
-        open gate suffices.  Carrier tests close both gates; the size test
-        |X| + |Y| - 1 <= p sets cap_limit, which also gates every column
-        outside the size cap, as one open gate needs."""
+        """The catalog entry of statement as row and column gates (column
+        sets) and bounds u, v (bytes), then whether one open gate suffices.
+        Carrier tests close both gates; the size test |X| + |Y| - 1 <= p
+        sets cap_limit, which the right side of each row applies."""
         from .theorems import _BOUNDS, _TESTS, CATALOG, HYPOTHESES
 
-        A, n = self.A, self.n
+        A, n, N, S = self.A, self.n, len(self.cols), _Masks(self)
 
         @functools.cache
         def column(key):
-            """A set test or bound over the columns, or one of the carrier."""
-            return (_BOUNDS[key] if key in _BOUNDS else _TESTS[key])(
-                A, self.cols, self._reduce
-            )
+            """A set test as a column set, or a bound as bytes."""
+            if key in _BOUNDS:
+                value = _BOUNDS[key](A, S, self._reduce)
+                return value if isinstance(value, bytes) else bytes([value]) * N
+            holds = _TESTS[key](A, S, self._reduce)
+            return self.all if holds is True else holds
 
         entry = CATALOG[statement]
         self.cap_limit = None
-        gx = gy = True
+        gx = gy = self.all
         either = False
         for name in entry.hypotheses:
             side, test, _ = HYPOTHESES[name]
             if side == "carrier":
-                holds = _TESTS[test](A)
-                gx, gy = gx & holds, gy & holds
+                if not _TESTS[test](A):
+                    gx = gy = 0
             elif side == "size":
                 self.cap_limit = min(A._p, 2 * n)
             else:
@@ -248,151 +223,188 @@ class _SweepContext:
                 gy = gy if side == "x" else gy & column(test)
         return gx, gy, column(entry.u), column(entry.v), either
 
-    def _reduce(self, w, inner, outer, cols, rows=-1) -> np.ndarray:
-        """core._reduce, as uint8 (uint64 for inner None), on the set S of
-        each column of cols, which are self.cols.  The padding repeats an
-        element of S, which min, max and and_ ignore.  A row z0 outside
-        rows reduces to outer's identity, as core._reduce skips it."""
-        ufunc = {min: np.minimum, max: np.maximum, and_: np.bitwise_and}
-        inner, outer = ufunc.get(inner), ufunc[outer]
-        idx = np.ascontiguousarray(self.idx.T)
+    def meets(self, m: int) -> int:
+        """The columns that meet the mask m (its bits below n)."""
+        return functools.reduce(or_, [t[m >> 8 * i & 255] for i, t in enumerate(self.meet)])
+
+    def _size_at_most(self, k: int) -> int:
+        return functools.reduce(or_, self.by_size[: max(k + 1, 0)], 0)
+
+    def _reduce(self, w, inner, outer, S, rows=-1):
+        """core._reduce on every column at once, for S a _Masks.  With inner
+        None, the column set of the Y that lie in w[z0] for each z0 of rows
+        in Y.  Otherwise _Values, from the nested column sets "value >= t"
+        for each t that w takes over rows, descending: inner min (max) is at
+        least t on the Y inside (meeting) {z : w[z0][z] >= t}, and outer max
+        (min) on the OR (AND) over the z0 of rows of those holding z0 (of
+        those and the ones without z0).  No z0 gives 0 under max and INF
+        under min, as in core._reduce."""
+        ALL, holding = self.all, self.holding
+        z0s = iter_bits(rows & (1 << self.n) - 1)
         if inner is None:
-            return functools.reduce(outer, map(np.array(w, dtype=np.uint64).__getitem__, idx))
-        w = np.array(w, dtype=np.uint8)
-        w[[not rows >> z0 & 1 for z0 in range(self.n)]] = 0 if outer is np.maximum else INF
-        flat = w.ravel()
-        out = None
-        for z0 in idx.astype(np.uint16) * self.n:
-            acc = flat[z0 + idx[0]]
-            for z in idx[1:]:
-                inner(acc, flat[z0 + z], out=acc)
-            out = acc if out is None else outer(out, acc, out=out)
-        return out
-
-    def _orbit_weights(self) -> np.ndarray | None:
-        """The size of each left-translation orbit of rows at its least row,
-        0 elsewhere; None unless the row gate and bound are constant on
-        every orbit (|X| and |X + Y| are, in a group)."""
-        rows = self.rows
-        # a row's other inputs to the kernel: u8, or 255 on a closed gate
-        key = self.u8 | self.skip_x
-        least = rows.copy()
-        for g in range(self.n):
-            # t[i] = the column of g + (the mask of rows[i])
-            if self.split:
-                t = (self.hi[g][:, None] | self.lo[g]).ravel()[rows]
+            inside = [ALL ^ self.meets(~w[z0]) | ALL ^ holding[z0] for z0 in z0s]
+            return functools.reduce(and_, inside, ALL)
+        # per z0, the mask of the z where w[z0][z] takes each value
+        where = [{} for _ in z0s]
+        for z0, values in zip(z0s, where):
+            for z, t in enumerate(w[z0]):
+                values[t] = values.get(t, 0) | 1 << z
+        masks = [0] * len(z0s)  # {z : w[z0][z] >= t}, growing as t falls
+        parts, above = [], 0
+        for t in sorted(set().union(*where) | {INF}, reverse=True):
+            masks = [m | values.get(t, 0) for m, values in zip(masks, where)]
+            sets = [ALL ^ self.meets(~m) if inner is min else self.meets(m) for m in masks]
+            held = map(holding.__getitem__, z0s)
+            if outer is max:
+                at_least = functools.reduce(or_, map(and_, held, sets), 0)
             else:
-                m = np.bitwise_or.reduce(self.M[g][self.idx[rows]], axis=1)
-                t = np.searchsorted(self.cols, m)
-            if not (key[t] == key[rows]).all():
+                at_least = functools.reduce(and_, [s | ALL ^ h for h, s in zip(held, sets)], ALL)
+            # the value is t exactly where it is >= t but not >= the last t
+            parts.append((t, at_least ^ above))
+            above = at_least
+        N = len(self.cols)
+        acc = sum(t * int.from_bytes(_flags(s, N), "little") for t, s in parts)
+        return _Values(acc.to_bytes(N, "little"))
+
+    def _orbit_weights(self) -> dict | None:
+        """The size of each left-translation orbit of rows at its least row;
+        None unless the row gate and bound are constant on every orbit
+        (|X| and |X + Y| are, in a group)."""
+        n, cols = self.n, self.cols
+        # a row's other inputs to the kernel: u8, or 255 on a closed gate
+        key = bytes(map(or_, self.u8, self.gx.translate(b"\xff" + bytes(255))))
+        # shift[x]: the masks of g + x, one field of 1, 2, 4 or 8 bytes per g
+        size = 1 << max(0, (n - 1).bit_length() - 3)
+        code = "BHIQ"[size.bit_length() - 1]
+        shift = [sum(1 << (8 * size * g + z) for g, z in enumerate(col)) for col in zip(*self.A.table)]
+        position = dict(zip(cols, range(len(cols))))
+        weight, seen = {}, set()
+        for j in self.rows:
+            if j in seen:
+                continue
+            packed = functools.reduce(or_, map(shift.__getitem__, iter_bits(cols[j])))
+            translates = memoryview(packed.to_bytes(n * size, sys.byteorder)).cast(code)
+            orbit = set(map(position.__getitem__, translates))
+            if len(set(map(key.__getitem__, orbit))) > 1:
                 return None
-            np.minimum(least, t, out=least)
-        return np.bincount(least, minlength=len(self.cols))
+            seen |= orbit
+            weight[j] = len(orbit)
+        return weight
 
-    def _lhs(self, xs: np.ndarray) -> np.ndarray:
-        """|X + Y| as uint8, shape (len(xs), len(cols)): row i is X at
-        column position xs[i]."""
-        xi = self.idx[xs]
-        if self.split:
-            lo = np.bitwise_or.reduce(self.lo[xi], axis=1)
-            hi = np.bitwise_or.reduce(self.hi[xi], axis=1)
-            f = hi[:, :, None] | lo[:, None, :]
-            return np.bitwise_count(f).reshape(len(xs), -1)
-        # r[i, y] = mask of X + y, then X + Y = OR of r over the elements y
-        r = np.bitwise_or.reduce(self.M[xi], axis=1)
-        f = r[:, self.idx[:, 0]]
-        for j in range(1, self.idx.shape[1]):
-            f |= r[:, self.idx[:, j]]
-        return np.bitwise_count(f)
+    def _right(self, u: int, k: int, g: int):
+        """For a row with bound u (clipped), |X| = k and gate g: the right
+        side min(max(u, v[Y]), k + |Y| - 1) on every column, clipped to
+        n + 1 and bit-sliced, the applicable columns, and their count."""
+        n, width = self.n, self.width
+        big = _slices([(max(u, t), s) for t, s in self.vparts], width)
+        cap = _slices([(min(k + y - 1, n + 1), s) for y, s in enumerate(self.by_size)], width)
+        less, _ = _compare(big, cap, self.all)
+        rhs = [c ^ (b ^ c) & less for b, c in zip(big, cap)]
+        app = self.all if self.either and g else self.gy
+        if self.cap_limit is not None:
+            app &= self._size_at_most(self.cap_limit + 1 - k)
+        return rhs, app, app.bit_count()
 
-    def eval_chunk(self, xs: np.ndarray, w: np.ndarray) -> _Partial:
+    def _lhs(self, x: int) -> list[int]:
+        """|X + Y| on every column, bit-sliced, low bit first."""
+        step = len(self.meet)
+        p = functools.reduce(or_, map(self.pre.__getitem__, iter_bits(x)))
+        p = p.to_bytes(self.n * step, "little")
+        sets = list(map(self.meet[0].__getitem__, p[::step]))
+        for i in range(1, step):
+            sets = list(map(or_, sets, map(self.meet[i].__getitem__, p[i::step])))
+        return _bit_sum(list(filter(None, sets)), self.width)
+
+    def eval_chunk(self, xs, w) -> _Partial:
         """Tallies of the rows xs, row xs[i] counted w[i] times."""
-        part = _Partial()
-        for i in range(0, len(xs), self.block):
-            b = slice(i, i + self.block)
-            self._eval_block(xs[b], w[b], part)
+        part, cols = _Partial(), self.cols
+        for j, weight in zip(xs, w):
+            k = cols[j].bit_count()
+            key = (self.u8[j], k, self.gx[j])
+            if key not in self._rights:
+                self._rights[key] = self._right(*key)
+            rhs, app, n_app = self._rights[key]
+            lhs = self._lhs(cols[j])
+            below, equal = _compare(lhs, rhs, app)
+            n_viol = below.bit_count()
+            part.applicable += weight * n_app
+            part.satisfied += weight * (n_app - n_viol)
+            part.violation_count += weight * n_viol
+            part.tight += weight * equal.bit_count()
+            # X ascending, then Y ascending
+            while below and len(part.violations) < _MAX_RECORDED:
+                y = (below & -below).bit_length() - 1
+                below &= below - 1
+                bound = min(max(self.u[j], self.v[y]), k + cols[y].bit_count() - 1)
+                part.violations.append(Violation(self._set(j), self._set(y), _at(lhs, y), bound))
+            if equal and part.first_tight is None:
+                y = (equal & -equal).bit_length() - 1
+                part.first_tight = TightPair(x=self._set(j), y=self._set(y), value=_at(lhs, y))
         return part
 
-    def _eval_block(self, xs: np.ndarray, w: np.ndarray, part: _Partial):
-        n_cols, rows = len(self.cols), len(xs)
-        lhs = self._lhs(xs)
-        cap = self.pc[xs][:, None] + self.ycap
-        # np.maximum is slow on a column broadcast, so spell u[X] out
-        rhs = np.repeat(self.u8[xs], n_cols).reshape(rows, n_cols)
-        np.maximum(rhs, self.v8, out=rhs)
-        np.minimum(rhs, cap, out=rhs)
-        rhs |= self.skip(self.skip_x[xs][:, None], self.skip_y)
-        if self.cap_limit is not None:
-            rhs[cap > self.cap_limit] = 255
-        outside = _count(rhs == 255, w)
-        below = lhs < rhs  # also true on every pair outside the hypotheses
-        n_viol = _count(below, w) - outside
-        n_tight = _count(lhs == rhs, w)
-        n_app = int(w.sum()) * n_cols - outside
-        part.applicable += n_app
-        part.satisfied += n_app - n_viol
-        part.violation_count += n_viol
-        part.tight += n_tight
-        if n_viol and len(part.violations) < _MAX_RECORDED:
-            below &= rhs != 255
-            # row-major order: X ascending, then Y ascending
-            for i, y in zip(*np.nonzero(below)):
-                if len(part.violations) >= _MAX_RECORDED:
-                    break
-                x, y = int(xs[i]), int(y)
-                bound = max(int(self.u[x]), int(self.v[y]))
-                part.violations.append(
-                    Violation(
-                        x=self._set(x),
-                        y=self._set(y),
-                        lhs=int(lhs[i, y]),
-                        rhs=min(bound, int(self.pc[x]) + int(self.pc[y]) - 1),
-                    )
-                )
-        if n_tight and part.first_tight is None:
-            i, y = divmod(int(np.argmax(lhs == rhs)), n_cols)
-            part.first_tight = TightPair(
-                x=self._set(int(xs[i])), y=self._set(y), value=int(lhs[i, y])
-            )
-
     def _set(self, col: int) -> str:
-        return str(ElementSet(self.n, int(self.cols[col])))
+        return str(ElementSet(self.n, self.cols[col]))
 
 
-def _count(a: np.ndarray, w: np.ndarray) -> int:
-    """Pairs where a holds, row i counted w[i] times: one count times the
-    weight when the rows share it, per-row counts otherwise."""
-    if (w == w[0]).all():
-        return int(w[0]) * int(np.count_nonzero(a))
-    return int(np.count_nonzero(a, axis=1) @ w)
+def _where(values: bytes, digits: bytes) -> int:
+    """The column set of the j where the table digits maps values[j] to "1"."""
+    return int(values.translate(digits)[::-1], 2)
 
 
-def _subset_or(cols: np.ndarray) -> np.ndarray:
-    """t[:, s] = OR of cols[:, j] over the bits j of s, for every s."""
-    k = cols.shape[1]
-    t = np.zeros((len(cols), 1 << k), dtype=cols.dtype)
-    for j in range(k):
-        np.bitwise_or(t[:, : 1 << j], cols[:, j : j + 1], out=t[:, 1 << j : 2 << j])
-    return t
+def _flags(columns: int, n_cols: int) -> bytes:
+    """The column set columns as one byte per column, 1 in it and 0 outside."""
+    return format(columns, "0%db" % n_cols)[::-1].encode().translate(_FLAG)
 
 
-def _element_index(masks: np.ndarray, width: int) -> np.ndarray:
-    """The element indices of each mask, ascending, padded to width with
-    its first element (0 for the empty mask), as uint8."""
-    rest = masks.copy()
-    idx = np.zeros((len(masks), width), dtype=np.uint8)
-    for j in range(width):
-        low = rest & (~rest + np.uint64(1))  # the lowest bit left
-        rest ^= low
-        e = np.bitwise_count(low - np.uint64(1))
-        idx[:, j] = np.where(low != 0, e, idx[:, 0])
-    return idx
+def _slices(parts, width: int) -> list[int]:
+    """Bit slices, low first, of the value t on each column set of parts."""
+    out = [0] * width
+    for t, columns in parts:
+        for i in iter_bits(t):
+            out[i] |= columns
+    return out
+
+
+def _bit_sum(sets: list[int], width: int) -> list[int]:
+    """Bit slices, low first, of the number of sets holding each column:
+    full adders take three sets (or two) of one weight to one set of that
+    weight and one of twice it."""
+    out = []
+    while sets:
+        carries = []
+        while len(sets) > 1:
+            a, b = sets.pop(), sets.pop()
+            c, t = sets.pop() if sets else 0, a ^ b
+            sets.append(t ^ c)
+            carries.append(a & b | t & c)
+        out += sets
+        sets = carries
+    return out + [0] * (width - len(out))
+
+
+def _compare(a: list[int], b: list[int], columns: int) -> tuple[int, int]:
+    """Of the column set columns, those where a < b and those where a == b,
+    for bit slices a and b of one width.  (No operand is negative: an
+    operator on a negative int is several times slower.)"""
+    less, equal = 0, columns
+    for x, y in zip(reversed(a), reversed(b)):
+        differ = equal & (x ^ y)
+        less |= differ & y
+        equal ^= differ
+    return less, equal
+
+
+def _at(slices: list[int], col: int) -> int:
+    """The bit-sliced value at one column."""
+    return sum((s >> col & 1) << i for i, s in enumerate(slices))
 
 
 def _capped_masks(n: int, max_size: int) -> list[int]:
     """Non-empty masks of at most max_size elements, ascending."""
+    if max_size >= n:
+        return list(range(1, 1 << n))
     layer, masks = [0], []
-    for _ in range(min(max_size, n)):
+    for _ in range(max_size):
         # each mask of the next size once: add a bit above the top one
         layer = [m | 1 << b for m in layer for b in range(m.bit_length(), n)]
         masks += layer
@@ -416,9 +428,7 @@ def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
     """The tallies of rows, row i counted weight[i] times, one per chunk of
     CHUNK rows, in chunk order."""
     global multiprocessing
-    chunks = [
-        (rows[i : i + CHUNK], weight[i : i + CHUNK]) for i in range(0, len(rows), CHUNK)
-    ]
+    chunks = [(rows[i : i + CHUNK], weight[i : i + CHUNK]) for i in range(0, len(rows), CHUNK)]
     if jobs <= 1 or len(chunks) <= 1:
         return [ctx.eval_chunk(xs, w) for xs, w in chunks]
     if multiprocessing is None:
@@ -437,26 +447,12 @@ def _merge(parts, statement, label, n, max_size, n_masks, elapsed) -> SweepSumma
         total.applicable += part.applicable
         total.satisfied += part.satisfied
         total.violation_count += part.violation_count
-        for v in part.violations:
-            if len(total.violations) < _MAX_RECORDED:
-                total.violations.append(v)
+        total.violations += part.violations[: _MAX_RECORDED - len(total.violations)]
         total.tight += part.tight
-        if total.first_tight is None:
-            total.first_tight = part.first_tight
-    return SweepSummary(
-        statement=statement,
-        semigroup=label,
-        carrier_order=n,
-        max_size=max_size,
-        pairs=n_masks * n_masks,
-        applicable=total.applicable,
-        satisfied=total.satisfied,
-        violation_count=total.violation_count,
-        violations=tuple(total.violations),
-        tight=total.tight,
-        first_tight=total.first_tight,
-        elapsed_s=elapsed,
-    )
+        total.first_tight = total.first_tight or part.first_tight
+    # the tallies are the summary's fields of the same names
+    tallies = vars(total) | {"violations": tuple(total.violations)}
+    return SweepSummary(statement, label, n, max_size, n_masks * n_masks, **tallies, elapsed_s=elapsed)
 
 
 def sweep(
@@ -467,12 +463,11 @@ def sweep(
 ) -> SweepSummary:
     """Run one statement over every pair of non-empty subsets of A.
 
-    max_size caps |X| and |Y|; it is mandatory for carriers of order > 16.
-    Uncapped sweeps, and capped ones on n <= 16 whose swept masks times the
-    cap reach 2^n, take the split-table |X + Y| path, the others the
-    index-matrix path (see the module docstring).  jobs > 1 distributes
-    fixed-size chunks of the X space over worker processes; the summary is
-    identical (byte-identical once serialized) for every jobs value.
+    max_size caps |X| and |Y|; it is mandatory for carriers of order > 16,
+    and a sweep may have at most 2^16 - 1 masks a side, as many as a full
+    sweep of order 16.  jobs > 1 distributes fixed-size chunks of the X
+    space over worker processes; the summary is identical (byte-identical
+    once serialized) for every jobs value.
     """
     from .theorems import _check_carrier, normalize_statement
 
@@ -481,20 +476,24 @@ def sweep(
     _check_carrier(A, (statement,))
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
-    if A.n > VECTOR_LIMIT and max_size is None:
+    n_masks = sum(math.comb(A.n, k) for k in range(1, min(max_size or A.n, A.n) + 1))
+    if n_masks >= 1 << VECTOR_LIMIT:
         raise CarrierTooLarge(
             "full sweeps need carrier order <= %d (order %d); pass a size cap"
             % (VECTOR_LIMIT, A.n)
+            if max_size is None
+            else "a sweep of order %d at size cap %d has %d masks a side, over the %d of a "
+            "full sweep of order %d; lower the cap"
+            % (A.n, max_size, n_masks, (1 << VECTOR_LIMIT) - 1, VECTOR_LIMIT)
         )
 
     label = A.label or ("order-%d" % A.n)
     ctx = _SweepContext(A, statement, max_size)
     if ctx.weight is not None:
-        least = np.flatnonzero(ctx.weight)
-        parts = _evaluate(ctx, least, ctx.weight[least], jobs)
+        parts = _evaluate(ctx, list(ctx.weight), list(ctx.weight.values()), jobs)
     if ctx.weight is None or any(part.violation_count for part in parts):
         # witnesses are listed X by X, so they come from every row
-        parts = _evaluate(ctx, ctx.rows, np.ones_like(ctx.rows), jobs)
+        parts = _evaluate(ctx, ctx.rows, [1] * len(ctx.rows), jobs)
 
     elapsed = time.monotonic() - started
-    return _merge(parts, statement, label, A.n, max_size, ctx.n_considered, elapsed)
+    return _merge(parts, statement, label, A.n, max_size, n_masks, elapsed)

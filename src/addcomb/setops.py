@@ -135,4 +135,4 @@ def span_is_commutative(A: FiniteSemigroup, Y: ElementSet) -> bool:
 def _commutes(A: FiniteSemigroup, S, reduce=_reduce):
     """Whether the elements of S commute pairwise: whether S lies in the
     AND over z0 in S of A._commute_w[z0], the elements commuting with z0."""
-    return A.is_commutative or reduce(A._commute_w, None, and_, S) & S == S
+    return A.is_commutative or reduce(A._commute_w, None, and_, S)

@@ -11,7 +11,7 @@ every caller.
 Each statement is one entry of CATALOG, which names its hypotheses and two
 bounds: its right side is min(max(u(X), v(Y)), |X| + |Y| - 1).  _evaluate
 reads one or more entries on one pair, for run_statement and every verify_*
-function; the sweep reads the same entries on arrays.  Statement ids are
+function; the sweep reads the same entries on its columns.  Statement ids are
 opaque tokens used by the CLI and reports.
 """
 
@@ -86,7 +86,7 @@ HYPOTHESIS_FAILURE_TEXT = {name: text for name, (_, _, text) in HYPOTHESES.items
 
 
 # The tests on one pair: of the carrier A, of a set S (a mask, or the
-# sweep's array of masks) with a reduction (see constants), or of the size.
+# sweep's swept masks) with a reduction (see constants), or of the size.
 _TESTS = {
     "cancellative": lambda A: A.is_cancellative,
     "group": lambda A: A.is_group,

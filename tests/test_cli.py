@@ -205,6 +205,23 @@ def test_oversized_carrier_refused_before_its_table_is_built(spec):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("cap", ["4", "64"])
+def test_oversized_capped_sweep_refused_before_its_masks_are_built(cap):
+    # the child may use 256 MB; 679,120 masks a side at cap 4 are over the
+    # limit of 2^16 - 1, and at cap 64 they would never fit
+    proc = subprocess.run(
+        [sys.executable, "-m", "addcomb.cli", "sweep", "--semigroup", "cyclic:64",
+         "--statement", "thm2.2", "--max-size", cap],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_PRECONDITION, proc.stderr[-500:]
+    assert proc.stderr.startswith("error: a sweep of order 64 at size cap %s has " % cap)
+    assert proc.stderr.count("\n") == 1
+
+
 def test_deeply_nested_product_spec_is_a_parse_error(capsys):
     depth = 1200
     spec = "product:(" * depth + "cyclic:1" + ",cyclic:1)" * depth
@@ -468,7 +485,7 @@ def test_capped_sweep_report_matches_golden_hash(key):
 
 
 # ---------------------------------------------------------------------------
-# Start-up: numpy loads on the first sweep, not on import
+# Start-up: no library call and no command loads numpy
 # ---------------------------------------------------------------------------
 
 # the carriers of the benchmark's pair-queries workload
@@ -525,11 +542,10 @@ def test_single_library_calls_leave_numpy_unloaded():
         print(json.dumps(loaded))
     """
     assert len(QUERY_CARRIERS) == 27
-    assert _fresh(code, *QUERY_CARRIERS) == [False, False, True]
+    assert _fresh(code, *QUERY_CARRIERS) == [False, False, False]
 
 
-@pytest.mark.parametrize("argv", NON_SWEEP_COMMANDS, ids=lambda a: a[0])
-def test_non_sweep_commands_leave_numpy_unloaded(argv):
+def _assert_command_leaves_numpy_unloaded(argv):
     code = """if True:
         import json, sys
         from addcomb.cli import main
@@ -537,6 +553,19 @@ def test_non_sweep_commands_leave_numpy_unloaded(argv):
         print(json.dumps([code, "numpy" in sys.modules]))
     """
     assert _fresh(code, *argv) == [0, False]
+
+
+@pytest.mark.parametrize("argv", NON_SWEEP_COMMANDS, ids=lambda a: a[0])
+def test_non_sweep_commands_leave_numpy_unloaded(argv):
+    _assert_command_leaves_numpy_unloaded(argv)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_command_leaves_numpy_unloaded(jobs):
+    # cyclic:13 CD-1813 evaluates two chunks of orbit rows, so --jobs 2
+    # reaches the pool
+    argv = ["sweep", "--semigroup", "cyclic:13", "--statement", "cd", "--jobs", str(jobs)]
+    _assert_command_leaves_numpy_unloaded(argv)
 
 
 @pytest.mark.parametrize("first", ["import addcomb.exhaustive", "from addcomb import sweep"])
@@ -657,23 +686,21 @@ def test_star_import_dir_and_unknown_names():
     assert _fresh(code) == [[], [], "AttributeError", False]
 
 
-def test_parallel_sweep_that_loads_numpy_equals_serial():
+def test_first_sweep_in_parallel_equals_serial():
     # cyclic:13 CD-1813 evaluates 631 orbit rows: two chunks, so jobs=2
-    # reaches the pool, and the workers are forked from the process whose
-    # first sweep has just bound numpy
+    # reaches the pool, and the workers are forked from a process whose
+    # first sweep it is
     ctx = exhaustive._SweepContext(ac.cyclic(13), "CD-1813", None)
-    orbit_rows = sum(1 for w in ctx.weight.tolist() if w)
-    assert len(range(0, orbit_rows, exhaustive.CHUNK)) == 2
+    assert len(range(0, len(ctx.weight), exhaustive.CHUNK)) == 2
     code = """if True:
         import json, sys
         import addcomb as ac
-        before = "numpy" in sys.modules
         A = ac.cyclic(13)
         parallel = ac.sweep(A, "CD-1813", jobs=2).to_json_dict()
         serial = ac.sweep(A, "CD-1813", jobs=1).to_json_dict()
-        print(json.dumps([before, parallel == serial, serial["tight"] > 0]))
+        print(json.dumps([parallel == serial, serial["tight"] > 0, "numpy" in sys.modules]))
     """
-    assert _fresh(code) == [False, True, True]
+    assert _fresh(code) == [True, True, False]
 
 
 @pytest.mark.parametrize("spec,statement", [("dihedral:3", "chowla"), ("maxchain:4", "hk")])

@@ -14,16 +14,14 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import addcomb as ac
 import addcomb.exhaustive as sweep_mod
-from addcomb.constants import _delta_value, _omega_value, _pillai_value
+from addcomb.constants import _omega_value
 from addcomb.core import INF
-from addcomb.setops import _commutes
 from addcomb.theorems import is_standard_cyclic, statement_info
 from support import (
     closure_oracle,
@@ -33,6 +31,7 @@ from support import (
     statement_oracle,
     sumset_oracle,
 )
+from test_sweep import feature_columns
 
 MAX_ORDER = 24  # closures larger than this drop their last generators
 
@@ -153,21 +152,11 @@ def test_sweep_feature_columns_match_oracles(A, cap):
     # the constants definitions on a capped sweep context's reduction,
     # against the plain-set definitions
     ctx = sweep_mod._SweepContext(A, "CD-1813", cap)
-    # the split-table path also has columns for {} and for masks above the
-    # cap, which the sweep gates out and whose features it reads from only
-    # their first cap elements
-    keep = (ctx.pc >= 1) & (ctx.pc <= cap)
-    got = [
-        np.broadcast_to(column, len(ctx.cols))[keep].tolist()
-        for column in (
-            _omega_value(A, ctx.cols, ctx._reduce),
-            _commutes(A, ctx.cols, ctx._reduce),
-            _delta_value(A.n, ctx.cols, ctx._reduce),
-            _pillai_value(A.n, ctx.cols, ctx._reduce),
-        )
-    ]
-    omega, commutes, delta, pillai = set_fact_columns(A, ctx.cols[keep].tolist())
-    assert got == [[INF if w == math.inf else w for w in omega], commutes, delta, pillai]
+    # the columns are exactly the non-empty masks of at most cap elements
+    assert ctx.cols == [m for m in range(1, 1 << A.n) if m.bit_count() <= cap]
+    omega, commutes, delta, pillai = set_fact_columns(A, ctx.cols)
+    want = [[INF if w == math.inf else w for w in omega], commutes, delta, pillai]
+    assert feature_columns(ctx) == want
 
 
 @SETTINGS

@@ -7,7 +7,6 @@ import math
 import multiprocessing
 import types
 
-import numpy as np
 import pytest
 
 import addcomb as ac
@@ -185,10 +184,10 @@ def test_capped_sweeps_match_scalar_verifiers(max_size):
     ]
     # residue statements off the standard cyclic tables, HK off groups
     assert len(mismatched) == 2 * 3 + 1
-    # both |X+Y| paths are taken: index matrices at cap 1, split tables on
-    # maxchain:3 only at cap 2, and on all four at cap 3
-    paths = {sweep_mod._SweepContext(A, "CD-1813", max_size).split for A in carriers}
-    assert paths == {1: {False}, 2: {False, True}, 3: {True}}[max_size]
+    # the columns are the swept masks, on every carrier and at every cap
+    for A in carriers:
+        cols = sweep_mod._SweepContext(A, "CD-1813", max_size).cols
+        assert cols == _swept_masks(A.n, max_size), (A.label, max_size)
 
 
 def test_capped_sweeps_above_16_elements_match_scalar_verifiers():
@@ -210,16 +209,15 @@ def _unreduced_two_chunk_case():
     return A, "Kemperman-weak", 2
 
 
-def test_block_boundaries_leave_the_summary_unchanged(monkeypatch):
-    # Thm2.2 on dihedral:5 runs 3-row blocks of orbit rows, some of mixed
-    # weights; the unreduced case runs them across both chunks
+def test_chunk_boundaries_leave_the_summary_unchanged(monkeypatch):
+    # Thm2.2 on dihedral:5 runs 3-row chunks of orbit rows of mixed
+    # weights; the unreduced case runs 176 chunks of weight 1
     D5 = ac.dihedral(5)
-    assert sweep_mod._SweepContext(D5, "Thm2.2", None).weight is not None
+    weight = sweep_mod._SweepContext(D5, "Thm2.2", None).weight
+    assert weight is not None and len(set(weight.values())) > 1
     for A, st, cap in ((D5, "Thm2.2", None), _unreduced_two_chunk_case()):
         want = ac.sweep(A, st, max_size=cap)
-        n_cols = len(sweep_mod._SweepContext(A, st, cap).cols)
-        monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 3 * n_cols)
-        assert sweep_mod._SweepContext(A, st, cap).block == 3
+        monkeypatch.setattr(sweep_mod, "CHUNK", 3)
         got = ac.sweep(A, st, max_size=cap)
         monkeypatch.undo()
         assert got.tight > 0 and got.first_tight is not None
@@ -234,7 +232,7 @@ def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
     false_omega = n + 3
 
     def inflated_omega(A, S, reduce):
-        return np.full(len(S), false_omega, dtype=np.int64)
+        return false_omega
 
     monkeypatch.setattr(th, "_omega_value", inflated_omega)
 
@@ -262,19 +260,19 @@ def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
     return want
 
 
-@pytest.mark.parametrize("block_rows", [None, 3])
-def test_violation_witnesses_match_brute_force(monkeypatch, block_rows):
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_violation_witnesses_match_brute_force(monkeypatch, chunk_rows):
     A = ac.cyclic(10)
-    if block_rows is not None:
-        monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", block_rows << A.n)
+    if chunk_rows is not None:
+        monkeypatch.setattr(sweep_mod, "CHUNK", chunk_rows)
     want = _assert_witnesses_match_brute_force(monkeypatch, A)
     assert any(rhs > A.n + 1 for *_, rhs in want)
 
 
 def test_capped_violation_witnesses_match_brute_force(monkeypatch):
-    # 1,350 swept masks of cyclic:20 in three chunks, on the index path
+    # 1,350 swept masks of cyclic:20 in three chunks
     A = ac.cyclic(20)
-    assert not sweep_mod._SweepContext(A, "Thm2.2", 3).split
+    assert len(sweep_mod._SweepContext(A, "Thm2.2", 3).cols) == 1350
     _assert_witnesses_match_brute_force(monkeypatch, A, max_size=3)
 
 
@@ -283,24 +281,37 @@ def test_capped_violation_witnesses_match_brute_force(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _assert_tables_match_oracles(A, max_size=None):
-    """The sweep's columns of omega, span commutativity, delta and
-    pillai_delta, each the constants definition on the context's reduction,
-    against the plain-set definitions of support.py."""
-    ctx = sweep_mod._SweepContext(A, "CD-1813", max_size)
-    keep = ctx.cols != 0
-    got = [
-        np.broadcast_to(column, len(ctx.cols))[keep].tolist()
-        for column in (
-            _omega_value(A, ctx.cols, ctx._reduce),
-            _commutes(A, ctx.cols, ctx._reduce),
-            _delta_value(A.n, ctx.cols, ctx._reduce),
-            _pillai_value(A.n, ctx.cols, ctx._reduce),
-        )
+def column_flags(ctx, holds):
+    """A test on the context's columns, a column set or True, as one bool
+    per column."""
+    return [holds is True or bool(holds >> j & 1) for j in range(len(ctx.cols))]
+
+
+def feature_columns(ctx):
+    """The context's columns of omega, span commutativity, delta and
+    pillai_delta, each the constants definition on its reduction."""
+    A, S = ctx.A, sweep_mod._Masks(ctx)
+    return [
+        list(_omega_value(A, S, ctx._reduce)),
+        column_flags(ctx, _commutes(A, S, ctx._reduce)),
+        list(_delta_value(A.n, S, ctx._reduce)),
+        list(_pillai_value(A.n, S, ctx._reduce)),
     ]
-    omega, commutes, delta, pillai = set_fact_columns(A, ctx.cols[keep].tolist())
+
+
+def _assert_tables_match_oracles(A, max_size=None):
+    """The sweep's feature columns, and its "0 in Y" and "Y coprime to m"
+    columns, against the plain-set definitions."""
+    ctx = sweep_mod._SweepContext(A, "CD-1813", max_size)
+    omega, commutes, delta, pillai = set_fact_columns(A, ctx.cols)
     want = [[INF if w == math.inf else w for w in omega], commutes, delta, pillai]
-    assert got == want, A.label
+    assert feature_columns(ctx) == want, A.label
+    S = sweep_mod._Masks(ctx)
+    zero = th._TESTS["holds_zero"](A, S, ctx._reduce)
+    assert column_flags(ctx, zero) == [m & 1 == 1 for m in ctx.cols]
+    coprime = th._TESTS["coprime"](A, S, ctx._reduce)
+    want = [all(math.gcd(A.n, z) == 1 for z in range(1, A.n) if m >> z & 1) for m in ctx.cols]
+    assert column_flags(ctx, coprime) == want
     return ctx
 
 
@@ -314,9 +325,9 @@ def test_feature_tables_match_scalar_constants():
         ac.leftzero(4),
     ]
     for A in carriers:
-        assert _assert_tables_match_oracles(A).split
-    # the index path: 1,350 capped masks of cyclic:20
-    assert not _assert_tables_match_oracles(ac.cyclic(20), 3).split
+        assert len(_assert_tables_match_oracles(A).cols) == (1 << A.n) - 1
+    # 1,350 capped masks of cyclic:20
+    assert len(_assert_tables_match_oracles(ac.cyclic(20), 3).cols) == 1350
 
 
 _ORBIT_CARRIERS = {
@@ -353,7 +364,7 @@ def test_orbit_reduction_applies_only_where_rows_are_invariant():
     D4 = ac.dihedral(4)
     ctx = sweep_mod._SweepContext(D4, "Thm2.2", None)
     # 255 X masks of dihedral:4 in 42 orbits of left translates
-    assert ctx.weight.sum() == 255 and np.count_nonzero(ctx.weight) == 42
+    assert sum(ctx.weight.values()) == 255 and len(ctx.weight) == 42
     # "span(X) commutative" is not invariant under left translation
     assert sweep_mod._SweepContext(D4, "Cor2.7", None).weight is None
     # nor is anything on a carrier that is not a group
@@ -372,7 +383,7 @@ def test_witness_checks_reach_the_unreduced_rerun(monkeypatch):
     real = sweep_mod._SweepContext.eval_chunk
 
     def spy(ctx, xs, w):
-        passes.append(bool(w.max() > 1))
+        passes.append(max(w) > 1)
         return real(ctx, xs, w)
 
     monkeypatch.setattr(sweep_mod._SweepContext, "eval_chunk", spy)
@@ -391,10 +402,9 @@ def test_witness_checks_reach_the_unreduced_rerun(monkeypatch):
 def test_reduced_sweep_over_several_chunks_is_identical_for_any_jobs(monkeypatch):
     A = ac.cyclic(13)
     want = ac.sweep(A, "CD-1813")
-    # 630 orbit rows of weight 13 and the full set of weight 1: uniform
-    # blocks of 40 rows and one mixed block, in chunks of 100
+    # 630 orbit rows of weight 13 and the full set of weight 1, in chunks
+    # of 100; the last one mixes the two weights
     monkeypatch.setattr(sweep_mod, "CHUNK", 100)
-    monkeypatch.setattr(sweep_mod, "_BLOCK_PAIRS", 40 << A.n)
     for jobs in (1, 2):
         got = ac.sweep(A, "CD-1813", jobs=jobs)
         assert got.to_json_dict() == want.to_json_dict()
@@ -422,6 +432,47 @@ def test_large_carrier_requires_cap():
     s = ac.sweep(big, "Thm2.2", max_size=1)
     assert s.pairs == 400
     assert s.violation_count == 0
+
+
+def test_capped_sweep_over_the_mask_limit_is_refused_before_its_masks_are_built(monkeypatch):
+    # at most 2^16 - 1 masks a side, as many as a full sweep of order 16:
+    # cyclic:64 has 43,744 masks of at most 3 elements, 679,120 of at most 4
+    A = ac.cyclic(64)
+
+    def no_masks(*_):
+        raise AssertionError("the masks were built")
+
+    monkeypatch.setattr(sweep_mod, "_capped_masks", no_masks)
+    for cap, masks in ((4, 679120), (64, (1 << 64) - 1)):
+        with pytest.raises(ac.CarrierTooLarge, match="at size cap %d has %d masks" % (cap, masks)):
+            ac.sweep(A, "Thm2.2", max_size=cap)
+    monkeypatch.undo()
+    s = ac.sweep(A, "Thm2.2", max_size=3)
+    assert s.pairs == s.applicable == 43744**2 and s.violation_count == 0
+
+
+def _vosper_tight(p):
+    """CD-1813's tight ordered pairs on Z_p, by Vosper's theorem on critical
+    pairs (J. London Math. Soc., 1956)."""
+    tight = 2 * p * (2**p - 1) - p * p  # |X| = 1 or |Y| = 1
+    for k in range(2, p + 1):
+        for l in range(2, p + 1):
+            if k + l >= p + 1:  # X + Y is Z_p
+                tight += math.comb(p, k) * math.comb(p, l)
+            elif k + l == p:  # Y is the complement of c - X
+                tight += p * math.comb(p, k)
+            else:  # progressions with one common difference
+                tight += p * p * (p - 1) // 2
+    return tight
+
+
+def test_cd_tight_pairs_on_prime_cyclic_groups_equal_vosper_count():
+    want = {2: 9, 3: 49, 5: 811, 7: 9857, 11: 1828531, 13: 28718665}
+    for p, tight in want.items():
+        assert _vosper_tight(p) == tight
+        s = ac.sweep(ac.cyclic(p), "CD-1813")
+        assert s.tight == tight, p
+        assert s.applicable == s.pairs == (2**p - 1) ** 2 and s.violation_count == 0
 
 
 def test_capped_sweep_on_prime_carrier_above_vector_limit():
