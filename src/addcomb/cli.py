@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from .core import (
     ElementSet,
@@ -42,6 +41,7 @@ from .errors import (
     UnknownSpec,
 )
 
+TYPE_CHECKING = False  # true to type checkers; typing is not imported for it
 if TYPE_CHECKING:
     from .exhaustive import SweepSummary
     from .theorems import BoundReport

@@ -11,7 +11,8 @@ precisely because z0 ranges over units.  On the integers mod m there is a
 closed gcd form, kept here as an independent cross-check.
 
 Each constant of a set S reduces one table w over the z0 in S (its units,
-for omega) with the reduction passed in: core._reduce, or the sweep's.
+for omega) with the reduction passed in: core._reduce, or the sweep's, in
+its value function (_omega_value, for one), which catalog defines.
 
     constant                     w                           inner  outer
     omega (z0 units)             A._omega_w: ord(z - z0)     min    max
@@ -23,12 +24,12 @@ for omega) with the reduction passed in: core._reduce, or the sweep's.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .catalog import _delta_value, _gcd_w, _omega_value, _pillai_value  # noqa: F401
 from .core import (
-    ElementSet, ExtendedNat, FiniteSemigroup, _frozen, _reduce, cyclic, extended, iter_bits
+    ElementSet, ExtendedNat, FiniteSemigroup, _frozen, cyclic, extended, iter_bits
 )
 from .errors import EmptySet, PreconditionFailed
 
@@ -43,30 +44,6 @@ class OmegaBreakdown:
 
     rows: tuple[tuple[int, ExtendedNat], ...]
     overall: ExtendedNat
-
-
-def _omega_value(A: FiniteSemigroup, S, reduce=_reduce):
-    """omega of S, INF for infinity."""
-    return reduce(A._omega_w, min, max, S, A.units.mask)
-
-
-@functools.lru_cache(maxsize=None)
-def _gcd_w(m: int) -> tuple[tuple[int, ...], ...]:
-    """gcd(m, z - z0) at [z0][z], 1 on the diagonal, which max ignores."""
-    return tuple(
-        tuple(1 if z == z0 else math.gcd(m, z - z0) for z in range(m))
-        for z0 in range(m)
-    )
-
-
-def _delta_value(m: int, S, reduce=_reduce):
-    """delta of S over the integers mod m."""
-    return reduce(_gcd_w(m), max, min, S)
-
-
-def _pillai_value(m: int, S, reduce=_reduce):
-    """pillai_delta of S over the integers mod m."""
-    return reduce(_gcd_w(m), max, max, S)
 
 
 def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:

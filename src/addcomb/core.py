@@ -25,12 +25,13 @@ scalar paths read instead of recomputing them on every call:
 - ``_standard_cyclic``: whether the table is addition mod n on the indices.
 
 Each set constant is one such table and one reduction (see ``_reduce``),
-evaluated on a mask here and on column sets of masks by the sweep.
+evaluated by its function in ``catalog`` on a mask or on column sets of masks.
 
 The library works on bit masks and plain ints, with the integer INF for
 infinity, and wraps results only when it returns them, without re-checking
 them: ``extended`` reads shared ``ExtendedNat`` values, ``_set`` builds an
-``ElementSet`` and ``_frozen`` a frozen dataclass directly.
+``ElementSet`` and ``_frozen`` a frozen dataclass directly.  ``_Record`` is
+the dataclass-free base of the catalog entries and the sweep's value types.
 """
 
 from __future__ import annotations
@@ -164,6 +165,42 @@ def _frozen(cls, **fields):
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
     return obj
+
+
+class _Record:
+    """A value whose fields are its __slots__, in order, as a frozen
+    dataclass's: its repr names them, == and hash read _key(), and it is
+    immutable, and pickled and copied by its constructor."""
+
+    __slots__ = ()
+
+    def _fill(self, values: dict) -> None:
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _key(self) -> tuple:
+        return tuple(self._dict().values())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(map("%s=%r".__mod__, self._dict().items()))
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot set or delete the field %r" % name)
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # by the constructor, since unpickling slots calls __setattr__
+        return type(self), tuple(self._dict().values())
 
 
 def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:

@@ -14,7 +14,7 @@ with min(max(u[X], v[Y]), |X| + |Y| - 1) clipped to n + 1, exact since
 Counts are bit counts, first_tight and the witnesses the lowest and the
 ascending set bits, and witnesses carry the unclipped right side.
 
-Features.  A statement is its theorems catalog entry: row and column
+Features.  A statement is its catalog entry: row and column
 gates, and bounds u, v.  The catalog's tests and bounds run unchanged on
 _Masks in place of a mask and with the context's _reduce in place of
 core's, giving column sets and _Values (a byte per column).  _reduce
@@ -34,7 +34,8 @@ sweep that finds a violation is run again unreduced, so that the witness
 list is exact.
 
 This module is the package's lazy export of sweep and its value types, so
-it loads, and with it dataclasses, on the first sweep; it is not named
+it loads on the first sweep, with catalog; its value types are core._Record
+classes, so a sweep loads neither dataclasses nor theorems.  It is not named
 sweep, so that no import order can set the package attribute sweep to it.
 _evaluate imports multiprocessing for its first pool, so a jobs=1 sweep
 never loads it.
@@ -55,11 +56,11 @@ import math
 import struct
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import compress
 from operator import and_, or_
 
-from .core import INF, ElementSet, FiniteSemigroup, iter_bits
+from .catalog import _BOUNDS, _TESTS, CATALOG, HYPOTHESES, _check_carrier, normalize_statement
+from .core import INF, ElementSet, FiniteSemigroup, _Record, iter_bits
 from .errors import CarrierTooLarge
 
 CHUNK = 512
@@ -73,55 +74,57 @@ _BIT = [bytes(48 + (b >> i & 1) for b in range(256)) for i in range(8)]
 multiprocessing = None  # bound by _evaluate when it makes the first pool
 
 
-@dataclass(frozen=True)
-class Violation:
-    x: str
-    y: str
-    lhs: int
-    rhs: int
+class Violation(_Record):
+    __slots__ = ("x", "y", "lhs", "rhs")
+
+    def __init__(self, x: str, y: str, lhs: int, rhs: int):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class TightPair:
-    x: str
-    y: str
-    value: int
+class TightPair(_Record):
+    __slots__ = ("x", "y", "value")
+
+    def __init__(self, x: str, y: str, value: int):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    statement: str
-    semigroup: str
-    carrier_order: int
-    max_size: int | None
-    pairs: int
-    applicable: int
-    satisfied: int
-    violation_count: int
-    violations: tuple[Violation, ...]
-    tight: int
-    first_tight: TightPair | None
-    elapsed_s: float | None = field(compare=False, default=None)
+class SweepSummary(_Record):
+    __slots__ = ("statement", "semigroup", "carrier_order", "max_size", "pairs", "applicable",
+                 "satisfied", "violation_count", "violations", "tight", "first_tight", "elapsed_s")
+
+    def __init__(self, statement: str, semigroup: str, carrier_order: int,
+                 max_size: int | None, pairs: int, applicable: int, satisfied: int,
+                 violation_count: int, violations: tuple[Violation, ...], tight: int,
+                 first_tight: TightPair | None, elapsed_s: float | None = None):
+        self._fill(locals())
+
+    def _key(self) -> tuple:  # == and hash ignore elapsed_s
+        return super()._key()[:-1]
 
     def to_json_dict(self) -> dict:
         """Machine-readable form; deliberately excludes wall-clock time so
         repeated runs serialize identically."""
-        out = asdict(self)
+        out = self._dict()
         del out["elapsed_s"]
-        out["violations"] = list(out["violations"])
+        out["violations"] = [v._dict() for v in self.violations]
+        out["first_tight"] = self.first_tight and self.first_tight._dict()
         return out
 
 
-@dataclass
-class _Partial:
-    """Mergeable tallies for one chunk of X rows."""
+class _Partial(_Record):
+    """Mergeable tallies for one chunk of X rows, in the order of the
+    summary's fields of the same names; mutable, so unhashable."""
 
-    applicable: int = 0
-    satisfied: int = 0
-    violation_count: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    tight: int = 0
-    first_tight: TightPair | None = None
+    __slots__ = ("applicable", "satisfied", "violation_count", "violations", "tight",
+                 "first_tight")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, applicable: int = 0, satisfied: int = 0, violation_count: int = 0,
+                 violations: list[Violation] | None = None, tight: int = 0,
+                 first_tight: TightPair | None = None):
+        self._fill(locals())
+        self.violations = [] if violations is None else violations
 
 
 class _Values(bytes):
@@ -193,8 +196,6 @@ class _SweepContext:
         sets) and bounds u, v (bytes), then whether one open gate suffices.
         Carrier tests close both gates; the size test |X| + |Y| - 1 <= p
         sets cap_limit, which the right side of each row applies."""
-        from .theorems import _BOUNDS, _TESTS, CATALOG, HYPOTHESES
-
         A, n, N, S = self.A, self.n, len(self.cols), _Masks(self)
 
         @functools.cache
@@ -450,9 +451,9 @@ def _merge(parts, statement, label, n, max_size, n_masks, elapsed) -> SweepSumma
         total.violations += part.violations[: _MAX_RECORDED - len(total.violations)]
         total.tight += part.tight
         total.first_tight = total.first_tight or part.first_tight
-    # the tallies are the summary's fields of the same names
-    tallies = vars(total) | {"violations": tuple(total.violations)}
-    return SweepSummary(statement, label, n, max_size, n_masks * n_masks, **tallies, elapsed_s=elapsed)
+    total.violations = tuple(total.violations)
+    tallies = total._dict().values()  # the summary's fields of the same names, in order
+    return SweepSummary(statement, label, n, max_size, n_masks * n_masks, *tallies, elapsed)
 
 
 def sweep(
@@ -469,8 +470,6 @@ def sweep(
     space over worker processes; the summary is identical (byte-identical
     once serialized) for every jobs value.
     """
-    from .theorems import _check_carrier, normalize_statement
-
     started = time.monotonic()
     statement = normalize_statement(statement)
     _check_carrier(A, (statement,))

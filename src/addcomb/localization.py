@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import _omega_value
+from .catalog import _omega_value
 from .core import ElementSet, FiniteSemigroup, _frozen, _set, iter_bits
 from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
 from .setops import _commutes

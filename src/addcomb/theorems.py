@@ -8,36 +8,27 @@ when not applicable, and True/False otherwise; a False on an applicable pair
 would falsify a published theorem and is treated as an implementation bug by
 every caller.
 
-Each statement is one entry of CATALOG, which names its hypotheses and two
-bounds: its right side is min(max(u(X), v(Y)), |X| + |Y| - 1).  _evaluate
-reads one or more entries on one pair, for run_statement and every verify_*
-function; the sweep reads the same entries on its columns.  Statement ids are
-opaque tokens used by the CLI and reports.
+Each statement is one entry of CATALOG (its hypotheses and bounds u, v),
+defined in catalog and re-exported here with the catalog's other names.
+_evaluate reads one or more entries on one pair, for run_statement and
+every verify_* function; the sweep reads the same entries on its columns.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from math import gcd, isqrt
 
-from .constants import _cyclic_cached, _delta_value, _omega_value, _pillai_value
-from .core import (
-    INF,
-    ElementSet,
-    ExtendedNat,
-    FiniteSemigroup,
-    _frozen,
-    _reduce,
-    cyclic,
-    dihedral,
-    extended,
-    maxchain,
-    product,
-    quaternion8,
+from .catalog import (  # noqa: F401 (the catalog's names, re-exported)
+    _BOUNDS, _TESTS, CATALOG, DOMINANCE, HYPOTHESES, HYPOTHESIS_FAILURE_TEXT, STATEMENTS,
+    _check_carrier, _hypotheses, _rhs, _Statement, normalize_statement,
 )
-from .errors import EmptySet, NotGroup, ParseError, TheoremViolated
-from .setops import _commutes, _sumset_mask
+from .constants import _cyclic_cached
+from .core import (
+    ElementSet, ExtendedNat, FiniteSemigroup, _frozen, cyclic, dihedral, extended, maxchain,
+    product, quaternion8,
+)
+from .errors import EmptySet, TheoremViolated
+from .setops import _sumset_mask
 
 
 @dataclass(frozen=True)
@@ -51,167 +42,6 @@ class BoundReport:
 
     def failed_hypotheses(self) -> tuple[str, ...]:
         return tuple(name for name, holds in self.hypotheses if not holds)
-
-
-@functools.cache
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-@functools.cache
-def _not_coprime(m: int) -> int:
-    """The mask of the z in [1, m) with gcd(m, z) > 1."""
-    return sum(1 << z for z in range(1, m) if gcd(m, z) != 1)
-
-
-# name: (side, test, the text for its failure).  The test reads the side:
-# the carrier, X, Y, either set (it holds when it holds of X or of Y) or the
-# size |X| + |Y| - 1; the only size test is |X| + |Y| - 1 <= p.
-HYPOTHESES = {
-    "cancellative": ("carrier", "cancellative", "not cancellative"),
-    "span_y_commutative": ("y", "commutes", "span(Y) not commutative"),
-    "span_x_commutative": ("x", "commutes", "span(X) not commutative"),
-    "span_x_or_y_commutative": (
-        "either", "commutes", "neither span(X) nor span(Y) commutative"
-    ),
-    "group": ("carrier", "group", "not a group"),
-    "prime_order": ("carrier", "prime_order", "order not prime"),
-    "zero_in_y": ("y", "holds_zero", "0 not in Y"),
-    "y_coprime_to_m": ("y", "coprime", "Y has an element not coprime to m"),
-    "orders_large_enough": (
-        "size", "within_p", "some non-identity order < |X|+|Y|-1"
-    ),
-}
-HYPOTHESIS_FAILURE_TEXT = {name: text for name, (_, _, text) in HYPOTHESES.items()}
-
-
-# The tests on one pair: of the carrier A, of a set S (a mask, or the
-# sweep's swept masks) with a reduction (see constants), or of the size.
-_TESTS = {
-    "cancellative": lambda A: A.is_cancellative,
-    "group": lambda A: A.is_group,
-    "prime_order": lambda A: _is_prime(A.n),
-    "commutes": _commutes,
-    "holds_zero": lambda A, S, reduce: S & 1 == 1,
-    "coprime": lambda A, S, reduce: S & _not_coprime(A.n) == 0,
-    "within_p": lambda A, need: A._p >= need,
-}
-
-# The bounds of one set S, as _TESTS takes it, INF for infinity.  m is the
-# carrier order n; delta is the min-max gcd and pillai_delta the max
-# pairwise gcd.  Module globals are looked up on each call.
-_BOUNDS = {
-    "0": lambda A, S, reduce: 0,
-    "n": lambda A, S, reduce: A.n,
-    "p": lambda A, S, reduce: A._p,
-    "inf": lambda A, S, reduce: INF,
-    "omega": lambda A, S, reduce: _omega_value(A, S, reduce),
-    "m/delta": lambda A, S, reduce: A.n // _delta_value(A.n, S, reduce),
-    "m/pillai_delta": lambda A, S, reduce: A.n // _pillai_value(A.n, S, reduce),
-}
-
-
-@dataclass(frozen=True)
-class _Statement:
-    """One catalog entry: |X + Y| >= min(max(u(X), v(Y)), |X| + |Y| - 1)
-    whenever the hypotheses hold, on a group, on the standard table of the
-    integers mod m, or on any carrier."""
-
-    hypotheses: tuple[str, ...]
-    u: str
-    v: str
-    needs_group: bool = False
-    needs_cyclic: bool = False
-
-
-CATALOG = {
-    # prime-order group: |X+Y| >= min(p, |X|+|Y|-1)
-    "CD-1813": _Statement(("group", "prime_order"), "n", "n"),
-    # cancellative, <Y> commutative: |X+Y| >= min(omega(Y), |X|+|Y|-1)
-    "Thm2.2": _Statement(("cancellative", "span_y_commutative"), "0", "omega"),
-    # mirror of Thm2.2 with omega(X) and <X> commutative
-    "Cor2.4": _Statement(("cancellative", "span_x_commutative"), "omega", "0"),
-    # both spans commutative: |X+Y| >= Omega(X,Y)
-    "Cor2.7": _Statement(
-        ("cancellative", "span_x_commutative", "span_y_commutative"), "omega", "omega"
-    ),
-    # cancellative, all non-identity orders >= |X|+|Y|-1, <X> or <Y>
-    # commutative: |X+Y| >= |X|+|Y|-1
-    "Kemperman-weak": _Statement(
-        ("cancellative", "orders_large_enough", "span_x_or_y_commutative"), "inf", "inf"
-    ),
-    # group: |X+Y| >= min(p_constant, |X|+|Y|-1)
-    "HK": _Statement(("group",), "p", "p", needs_group=True),
-    # integers mod m, 0 in Y, Y-{0} coprime to m: |X+Y| >= min(m, |X|+|Y|-1)
-    "Chowla": _Statement(("zero_in_y", "y_coprime_to_m"), "n", "n", needs_cyclic=True),
-    # integers mod m: |X+Y| >= min(m/pillai_delta(Y), |X|+|Y|-1)
-    "Pillai": _Statement((), "0", "m/pillai_delta", needs_cyclic=True),
-    # integers mod m: |X+Y| >= min(m/min(delta(X), delta(Y)), |X|+|Y|-1),
-    # sharper than Pillai
-    "Cor2.9": _Statement((), "m/delta", "m/delta", needs_cyclic=True),
-}
-STATEMENTS = tuple(CATALOG)
-
-# Dominance between entries: (weaker, sharper) -> (the statements whose
-# run_statement checks it, the TheoremViolated text).  Whenever both apply
-# to a pair, the sharper right side is at least the weaker one; that is a
-# theorem, so a failure is a bug.  Each statement that checks a pair needs
-# at least the carrier of the other.  Thm2.2, called most, leaves its pair
-# to HK.
-DOMINANCE = {
-    ("Pillai", "Cor2.9"): (
-        ("Pillai", "Cor2.9"),
-        "min-max delta bound fell below the max-pairwise-gcd bound: {sharper} < {weaker}",
-    ),
-    ("HK", "Thm2.2"): (
-        ("HK",),
-        "omega-based right side fell below the p-constant right side",
-    ),
-}
-
-
-def _hypotheses(A: FiniteSemigroup, entry: _Statement, x: int, y: int):
-    """The hypotheses of entry on a pair of non-empty masks, as (name,
-    holds), and whether they all hold."""
-    hyps = []
-    applicable = True
-    for name in entry.hypotheses:
-        side, key, _ = HYPOTHESES[name]
-        test = _TESTS[key]
-        if side == "carrier":
-            holds = test(A)
-        elif side == "x":
-            holds = test(A, x, _reduce)
-        elif side == "y":
-            holds = test(A, y, _reduce)
-        elif side == "either":
-            holds = test(A, x, _reduce) or test(A, y, _reduce)
-        else:
-            holds = test(A, x.bit_count() + y.bit_count() - 1)
-        hyps.append((name, holds))
-        applicable = applicable and holds
-    return tuple(hyps), applicable
-
-
-def _rhs(A: FiniteSemigroup, entry: _Statement, x: int, y: int) -> int:
-    """The right side of entry on a pair of non-empty masks."""
-    u = _BOUNDS[entry.u](A, x, _reduce)
-    return min(max(u, _BOUNDS[entry.v](A, y, _reduce)), x.bit_count() + y.bit_count() - 1)
-
-
-def _check_carrier(A: FiniteSemigroup, statements, *sets: ElementSet) -> None:
-    """Raise NotGroup on a carrier that one of the statements is not about:
-    residue statements before the sets are checked, group statements after."""
-    for statement in statements:
-        if CATALOG[statement].needs_cyclic and not A._standard_cyclic:
-            raise NotGroup(
-                "statement %s is about residues; the carrier must be cyclic:m "
-                "with the standard table" % statement
-            )
-    for S in sets:
-        A.check_set(S)
-    if not A.is_group and any(CATALOG[s].needs_group for s in statements):
-        raise NotGroup("the p-constant bound is stated for groups")
 
 
 def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str):
@@ -303,21 +133,6 @@ def verify_hk(
     hk, main = _evaluate(A, X, Y, "HK", "Thm2.2")
     _dominate({r.statement: r.rhs.value for r in (hk, main) if r.applicable})
     return (hk, main if main.applicable else None)
-
-
-_STATEMENT_IDS = {s.lower(): s for s in STATEMENTS}
-_STATEMENT_IDS.update(cd1813="CD-1813", cd="CD-1813", kemperman="Kemperman-weak")
-
-
-def normalize_statement(text: str) -> str:
-    """Map a user-supplied statement token to its canonical catalog id."""
-    statement = _STATEMENT_IDS.get(text.strip().lower().replace("_", "-"))
-    if statement is None:
-        raise ParseError(
-            "unknown statement %r (choose from %s)"
-            % (text, ", ".join(s.lower() for s in STATEMENTS))
-        )
-    return statement
 
 
 def statement_info(statement: str) -> _Statement:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ElementSet, FiniteSemigroup, _bit, _frozen, _set, iter_bits
-from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital, NoWitness
+from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital
 from .setops import _commutes, _difference_mask, _n_fold_mask, _sumset_mask
 
 
@@ -63,13 +63,14 @@ def transform_candidates(
     A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int = 1
 ) -> ElementSet:
     """(mX + 2Y) minus (X + Y); empty means no transform applies."""
-    return _set(A.n, _candidates(A, X, Y, m)[0])
+    shifts, xy = _shifts(A, X, Y, m)
+    head = _sumset_mask(A, xy if m == 1 else _sumset_mask(A, shifts, xy), Y.mask)
+    return _set(A.n, head & ~xy)
 
 
-def _candidates(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
-    """(mX + 2Y) minus (X + Y), the shifts (m-1)X ({identity} for m = 1)
-    and X + Y, as masks.  mX + 2Y is computed as shifts + (X + Y) + Y,
-    which is (X + Y) + Y for m = 1."""
+def _shifts(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
+    """The shifts (m-1)X ({identity} for m = 1) and X + Y of a checked input,
+    as masks: mX + 2Y is shifts + (X + Y) + Y, or (X + Y) + Y for m = 1."""
     A.check_set(X)
     A.check_set(Y)
     if A.identity is None:
@@ -79,9 +80,7 @@ def _candidates(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
     if m < 1:
         raise ValueError("exponent m must be >= 1, got %d" % m)
     shifts = 1 << A.identity if m == 1 else _n_fold_mask(A, X.mask, m - 1)
-    xy = _sumset_mask(A, X.mask, Y.mask)
-    head = _sumset_mask(A, xy if m == 1 else _sumset_mask(A, shifts, xy), Y.mask)
-    return head & ~xy, shifts, xy
+    return shifts, _sumset_mask(A, X.mask, Y.mask)
 
 
 def apply_transform(
@@ -93,29 +92,20 @@ def apply_transform(
     index, for reproducibility; the audited properties hold for any valid
     choice.
     """
-    candidates, shifts, xy = _candidates(A, X, Y, m)
-    if not (isinstance(z, int) and z >= 0 and candidates >> z & 1):
-        raise CandidateInvalid("z = %d is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
-    ys = iter_bits(Y.mask)
-    preimage = A._preimage
-    for x in iter_bits(shifts):
-        base = _sumset_mask(A, 1 << x, xy)  # x + X + Y
-        # the y whose preimage of z under + y meets base
-        tilde = sum(1 << y for y in ys if base & preimage[y][z])
-        if tilde:
-            return _frozen(
-                TransformResult,
-                m=m,
-                z=z,
-                x_z=x,
-                y_z=(tilde & -tilde).bit_length() - 1,
-                y_tilde=_set(A.n, tilde),
-                y_prime=_set(A.n, Y.mask & ~tilde),
-            )
-    raise NoWitness(
-        "no witness (x_z, y_z) found for z = %d; candidate membership should "
-        "guarantee one" % z
-    )
+    shifts, xy = _shifts(A, X, Y, m)
+    # z outside X + Y is a candidate exactly when the search finds a witness
+    if isinstance(z, int) and 0 <= z < A.n and not xy >> z & 1:
+        ys = iter_bits(Y.mask)
+        preimage = A._preimage
+        for x in iter_bits(shifts):
+            base = xy if m == 1 else _sumset_mask(A, 1 << x, xy)  # x + X + Y
+            # the y whose preimage of z under + y meets base
+            tilde = sum(1 << y for y in ys if base & preimage[y][z])
+            if tilde:
+                y_z = (tilde & -tilde).bit_length() - 1
+                return _frozen(TransformResult, m=m, z=z, x_z=x, y_z=y_z,
+                               y_tilde=_set(A.n, tilde), y_prime=_set(A.n, Y.mask & ~tilde))
+    raise CandidateInvalid("z = %d is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
 
 
 def audit_transform(

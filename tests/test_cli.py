@@ -171,8 +171,8 @@ def test_theorem_guard_survives_python_O():
     # Cor2.9 one on {0,2} + {0,2} mod 4; the Cor2.9 report itself holds, so
     # only the guard in verify_zmod can end the run with exit 3
     boot = (
-        "import sys; import addcomb.theorems as t; "
-        "t._pillai_value = lambda m, S, reduce: 1; "
+        "import sys; import addcomb.catalog as c; "
+        "c._pillai_value = lambda m, S, reduce: 1; "
         "from addcomb.cli import main; sys.exit(main())"
     )
     argv = ["verify", "--semigroup", "cyclic:4", "--x", "{0,2}", "--y", "{0,2}",
@@ -506,11 +506,11 @@ NON_SWEEP_COMMANDS = [
 ]
 
 
-def _fresh(code: str, *argv: str) -> list:
-    """Run code in a fresh interpreter; it ends by printing one JSON list,
-    which is returned."""
+def _fresh(code: str, *argv: str, flags: tuple = ()) -> list:
+    """Run code in a fresh interpreter, with the interpreter options flags;
+    it ends by printing one JSON list, which is returned."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code, *argv], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
@@ -634,6 +634,55 @@ def test_sumset_command_loads_neither_localization_nor_transform():
         print(json.dumps([code] + [m for m in %r if m in sys.modules]))
     """ % UNUSED_AT_SETUP
     assert _fresh(code, *NON_SWEEP_COMMANDS[0]) == [0, "addcomb.setops"]
+
+
+# the single-call halves of the library, which a sweep never runs, and the
+# dataclasses machinery of their result types
+UNUSED_BY_SWEEP = [
+    "dataclasses",
+    "inspect",
+    "addcomb.theorems",
+    "addcomb.constants",
+    "addcomb.localization",
+    "addcomb.transform",
+]
+
+LOADED_BY_COMMAND = """if True:
+    import json, sys
+    from addcomb.cli import main
+    code = main(sys.argv[1:])
+    print(json.dumps([code] + [m for m in %r if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_command_loads_the_catalog_but_no_single_call_module(jobs):
+    # cyclic:13 CD-1813 evaluates two chunks of orbit rows, so --jobs 2
+    # reaches the pool
+    argv = ["sweep", "--semigroup", "cyclic:13", "--statement", "cd", "--jobs", str(jobs)]
+    code = LOADED_BY_COMMAND % (["addcomb.catalog"] + UNUSED_BY_SWEEP)
+    assert _fresh(code, *argv) == [0, "addcomb.catalog"]
+
+
+def test_verify_command_loads_theorems():
+    code = LOADED_BY_COMMAND % ["addcomb.catalog", "addcomb.theorems"]
+    assert _fresh(code, *NON_SWEEP_COMMANDS[2]) == [0, "addcomb.catalog", "addcomb.theorems"]
+
+
+def test_parse_spec_and_sweep_leave_typing_unloaded():
+    # under -S, site imports nothing, so what loads typing is the package's own
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from addcomb.cli import main, parse_spec
+        parse_spec("cyclic:13")
+        loaded = ["typing" in sys.modules]
+        code = main(sys.argv[2:])
+        print(json.dumps([code] + loaded + ["typing" in sys.modules, "site" in sys.modules]))
+    """
+    root = os.path.dirname(os.path.dirname(ac.__file__))
+    argv = ["sweep", "--semigroup", "cyclic:13", "--statement", "cd"]
+    assert _fresh(code, root, *argv, flags=("-S",)) == [0, False, False, False]
 
 
 def test_only_a_parallel_sweep_loads_multiprocessing():

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import multiprocessing
+import pickle
 import types
 
 import pytest
 
 import addcomb as ac
+import addcomb.catalog as catalog
 import addcomb.exhaustive as sweep_mod
-import addcomb.theorems as th
 from addcomb.constants import _delta_value, _omega_value, _pillai_value
 from addcomb.core import INF
 from addcomb.setops import _commutes
@@ -234,7 +236,7 @@ def _assert_witnesses_match_brute_force(monkeypatch, A, max_size=None):
     def inflated_omega(A, S, reduce):
         return false_omega
 
-    monkeypatch.setattr(th, "_omega_value", inflated_omega)
+    monkeypatch.setattr(catalog, "_omega_value", inflated_omega)
 
     masks = _swept_masks(n, max_size)
     want = []
@@ -307,9 +309,9 @@ def _assert_tables_match_oracles(A, max_size=None):
     want = [[INF if w == math.inf else w for w in omega], commutes, delta, pillai]
     assert feature_columns(ctx) == want, A.label
     S = sweep_mod._Masks(ctx)
-    zero = th._TESTS["holds_zero"](A, S, ctx._reduce)
+    zero = catalog._TESTS["holds_zero"](A, S, ctx._reduce)
     assert column_flags(ctx, zero) == [m & 1 == 1 for m in ctx.cols]
-    coprime = th._TESTS["coprime"](A, S, ctx._reduce)
+    coprime = catalog._TESTS["coprime"](A, S, ctx._reduce)
     want = [all(math.gcd(A.n, z) == 1 for z in range(1, A.n) if m >> z & 1) for m in ctx.cols]
     assert column_flags(ctx, coprime) == want
     return ctx
@@ -546,3 +548,56 @@ def test_repeat_runs_identical():
     assert s1.to_json_dict() == s2.to_json_dict()
     # wall time may differ but is excluded from equality and serialization
     assert "elapsed_s" not in s1.to_json_dict()
+
+
+def test_sweep_value_types_keep_their_contracts():
+    # the repr texts and the JSON keys, in order, of the frozen dataclasses
+    # that these types were
+    v = ac.Violation("{0}", "{0,1}", lhs=1, rhs=2)
+    t = ac.TightPair(x="{0}", y="{1}", value=1)
+    s = ac.SweepSummary("CD-1813", "cyclic:3", 3, 2, 36, 36, 36, 1, (v,), 10, t, 0.5)
+    assert repr(v) == "Violation(x='{0}', y='{0,1}', lhs=1, rhs=2)"
+    assert repr(t) == "TightPair(x='{0}', y='{1}', value=1)"
+    assert repr(s) == (
+        "SweepSummary(statement='CD-1813', semigroup='cyclic:3', carrier_order=3, "
+        "max_size=2, pairs=36, applicable=36, satisfied=36, violation_count=1, "
+        "violations=(Violation(x='{0}', y='{0,1}', lhs=1, rhs=2),), tight=10, "
+        "first_tight=TightPair(x='{0}', y='{1}', value=1), elapsed_s=0.5)"
+    )
+    out = s.to_json_dict()
+    assert list(out) == [
+        "statement", "semigroup", "carrier_order", "max_size", "pairs", "applicable",
+        "satisfied", "violation_count", "violations", "tight", "first_tight",
+    ]
+    assert [list(w) for w in out["violations"]] == [["x", "y", "lhs", "rhs"]]
+    assert list(out["first_tight"]) == ["x", "y", "value"]
+    assert out["violations"] == [{"x": "{0}", "y": "{0,1}", "lhs": 1, "rhs": 2}]
+    assert out["first_tight"] == {"x": "{0}", "y": "{1}", "value": 1}
+    swept = ac.sweep(ac.cyclic(3), "CD-1813")
+    assert swept.first_tight is not None and swept.violations == ()
+    assert ac.SweepSummary(*[getattr(s, f) for f in out], elapsed_s=None).to_json_dict() == out
+
+    # == ignores elapsed_s, and hash agrees with ==
+    twin = ac.SweepSummary(
+        statement="CD-1813", semigroup="cyclic:3", carrier_order=3, max_size=2, pairs=36,
+        applicable=36, satisfied=36, violation_count=1,
+        violations=(ac.Violation(x="{0}", y="{0,1}", lhs=1, rhs=2),), tight=10,
+        first_tight=ac.TightPair("{0}", "{1}", 1),
+    )
+    assert twin.elapsed_s is None and twin == s and hash(twin) == hash(s)
+    other = ac.SweepSummary("CD-1813", "cyclic:3", 3, 2, 36, 36, 36, 1, (v,), 11, t, 0.5)
+    assert other != s and ac.Violation("{0}", "{0,1}", 1, 3) != v and t != v
+
+    for value, field in ((v, "rhs"), (t, "value"), (s, "tight"), (swept, "pairs")):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value) and copied == value
+            assert repr(copied) == repr(value) and hash(copied) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) != 0
+        # object.__setattr__ still sets a field, as on a frozen dataclass
+        doctored = copy.copy(value)
+        object.__setattr__(doctored, field, 0)
+        assert getattr(doctored, field) == 0 and getattr(value, field) != 0

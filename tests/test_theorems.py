@@ -271,17 +271,17 @@ def test_builtin_monoids_include_chains():
 
 
 def test_theorem_guards_raise_theorem_violated(monkeypatch):
+    import addcomb.catalog as catalog
     import addcomb.localization as loc
-    import addcomb.theorems as th
 
     with monkeypatch.context() as m:
         # the Pillai right side may not exceed the sharper Cor2.9 one
-        m.setattr(th, "_pillai_value", lambda mod, S, reduce: 1)
+        m.setattr(catalog, "_pillai_value", lambda mod, S, reduce: 1)
         with pytest.raises(ac.TheoremViolated):
             ac.verify_zmod(4, _s(4, 0, 2), _s(4, 0, 2))
     with monkeypatch.context() as m:
         # the omega-based right side may not fall below the p-constant one
-        m.setattr(th, "_omega_value", lambda A, S, reduce: 0)
+        m.setattr(catalog, "_omega_value", lambda A, S, reduce: 0)
         with pytest.raises(ac.TheoremViolated):
             ac.verify_hk(ac.cyclic(5), _s(5, 0, 1), _s(5, 0, 1))
     with monkeypatch.context() as m:
@@ -307,8 +307,8 @@ def test_theorem_guards_raise_theorem_violated(monkeypatch):
     ],
 )
 def test_run_statement_forces_each_guard(monkeypatch, statement, patch, m):
-    import addcomb.theorems as th
+    import addcomb.catalog as catalog
 
-    monkeypatch.setattr(th, *patch)
+    monkeypatch.setattr(catalog, *patch)
     with pytest.raises(ac.TheoremViolated):
         ac.run_statement(ac.cyclic(m), statement, _s(m, 0, m // 2), _s(m, 0, m // 2))
