@@ -1,7 +1,7 @@
 """The statement catalog: the hypotheses and bounds of each statement, the
 set constants that the bounds read, and the checks on a carrier.  theorems
 evaluates an entry on one pair of masks and exhaustive on its columns; a
-sweep loads this module without theorems, constants or dataclasses.
+sweep loads this module without theorems or constants.
 """
 
 from __future__ import annotations
@@ -95,10 +95,7 @@ class _Statement(_Record):
     integers mod m, or on any carrier."""
 
     __slots__ = ("hypotheses", "u", "v", "needs_group", "needs_cyclic")
-
-    def __init__(self, hypotheses: tuple[str, ...], u: str, v: str,
-                 needs_group: bool = False, needs_cyclic: bool = False):
-        self._fill(locals())
+    _defaults = (False, False)
 
 
 CATALOG = {

@@ -24,26 +24,22 @@ its value function (_omega_value, for one), which catalog defines.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .catalog import _delta_value, _gcd_w, _omega_value, _pillai_value  # noqa: F401
-from .core import (
-    ElementSet, ExtendedNat, FiniteSemigroup, _frozen, cyclic, extended, iter_bits
-)
+from .core import ElementSet, ExtendedNat, FiniteSemigroup, _Record, cyclic, extended, iter_bits
 from .errors import EmptySet, PreconditionFailed
 
 
-@dataclass(frozen=True)
-class OmegaBreakdown:
-    """One row per unit z0 of Z: the inner minimum that z0 contributes.
+class OmegaBreakdown(_Record):
+    """rows: one (z0, ExtendedNat) per unit z0 of Z, the inner minimum that
+    z0 contributes.
 
     overall is the maximum over rows, or 0 when there are no rows (Z has no
     units, or the carrier is not even unital).
     """
 
-    rows: tuple[tuple[int, ExtendedNat], ...]
-    overall: ExtendedNat
+    __slots__ = ("rows", "overall")
 
 
 def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
@@ -53,11 +49,8 @@ def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
     # the rows of _omega_value; repeating an element keeps get's result a tuple
     get = units and itemgetter(*iter_bits(Z.mask), units[0])
     inners = [min(get(A._omega_w[z0])) for z0 in units]
-    return _frozen(
-        OmegaBreakdown,
-        rows=tuple(zip(units, map(extended, inners))),
-        overall=extended(max(inners, default=0)),
-    )
+    rows = tuple(zip(units, map(extended, inners)))
+    return OmegaBreakdown(rows, extended(max(inners, default=0)))
 
 
 def omega_pair(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:

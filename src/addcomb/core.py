@@ -29,9 +29,9 @@ evaluated by its function in ``catalog`` on a mask or on column sets of masks.
 
 The library works on bit masks and plain ints, with the integer INF for
 infinity, and wraps results only when it returns them, without re-checking
-them: ``extended`` reads shared ``ExtendedNat`` values, ``_set`` builds an
-``ElementSet`` and ``_frozen`` a frozen dataclass directly.  ``_Record`` is
-the dataclass-free base of the catalog entries and the sweep's value types.
+them: ``extended`` reads shared ``ExtendedNat`` values and ``_set`` builds an
+``ElementSet`` directly.  ``_Record`` is the base of every other value type:
+the catalog entries, the sweep's value types and the single-call results.
 """
 
 from __future__ import annotations
@@ -159,24 +159,26 @@ def extended(value: int) -> ExtendedNat:
     return _EXTENDED[value]
 
 
-def _frozen(cls, **fields):
-    """The frozen dataclass cls with these fields, all of them in order,
-    set at once rather than one object.__setattr__ each by its __init__."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
-
-
 class _Record:
     """A value whose fields are its __slots__, in order, as a frozen
     dataclass's: its repr names them, == and hash read _key(), and it is
-    immutable, and pickled and copied by its constructor."""
+    immutable, and pickled and copied by its constructor.  The constructor
+    takes the fields by position or keyword, and _defaults are the defaults
+    of the last ones."""
 
     __slots__ = ()
+    _defaults = ()
 
-    def _fill(self, values: dict) -> None:
-        for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
+    def __init_subclass__(cls):
+        # compile the constructor once, as dataclasses does: it sets each
+        # field by its slot descriptor, past the raising __setattr__
+        names = cls.__match_args__ = cls.__slots__
+        scope = {"_set_" + name: getattr(cls, name).__set__ for name in names}
+        body = "".join("\n    _set_%s(self, %s)" % (name, name) for name in names)
+        exec("def __init__(self, %s):%s" % (", ".join(names), body), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__defaults__ = cls._defaults
+        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
 
     def _dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -34,10 +34,11 @@ sweep that finds a violation is run again unreduced, so that the witness
 list is exact.
 
 This module is the package's lazy export of sweep and its value types, so
-it loads on the first sweep, with catalog; its value types are core._Record
-classes, so a sweep loads neither dataclasses nor theorems.  It is not named
-sweep, so that no import order can set the package attribute sweep to it.
-_evaluate imports multiprocessing for its first pool, so a jobs=1 sweep
+it loads on the first sweep, with catalog.  Its value types are core._Record
+classes, as the single-call results are, so a sweep loads neither
+dataclasses (no module of the package imports it) nor theorems.  It is not
+named sweep, so that no import order can set the package attribute sweep to
+it.  _evaluate imports multiprocessing for its first pool, so a jobs=1 sweep
 never loads it.
 
 Determinism contract: the evaluated X rows are split into fixed-size
@@ -77,26 +78,15 @@ multiprocessing = None  # bound by _evaluate when it makes the first pool
 class Violation(_Record):
     __slots__ = ("x", "y", "lhs", "rhs")
 
-    def __init__(self, x: str, y: str, lhs: int, rhs: int):
-        self._fill(locals())
-
 
 class TightPair(_Record):
     __slots__ = ("x", "y", "value")
-
-    def __init__(self, x: str, y: str, value: int):
-        self._fill(locals())
 
 
 class SweepSummary(_Record):
     __slots__ = ("statement", "semigroup", "carrier_order", "max_size", "pairs", "applicable",
                  "satisfied", "violation_count", "violations", "tight", "first_tight", "elapsed_s")
-
-    def __init__(self, statement: str, semigroup: str, carrier_order: int,
-                 max_size: int | None, pairs: int, applicable: int, satisfied: int,
-                 violation_count: int, violations: tuple[Violation, ...], tight: int,
-                 first_tight: TightPair | None, elapsed_s: float | None = None):
-        self._fill(locals())
+    _defaults = (None,)
 
     def _key(self) -> tuple:  # == and hash ignore elapsed_s
         return super()._key()[:-1]
@@ -119,12 +109,6 @@ class _Partial(_Record):
                  "first_tight")
     __setattr__ = object.__setattr__
     __hash__ = None
-
-    def __init__(self, applicable: int = 0, satisfied: int = 0, violation_count: int = 0,
-                 violations: list[Violation] | None = None, tight: int = 0,
-                 first_tight: TightPair | None = None):
-        self._fill(locals())
-        self.violations = [] if violations is None else violations
 
 
 class _Values(bytes):
@@ -318,7 +302,7 @@ class _SweepContext:
 
     def eval_chunk(self, xs, w) -> _Partial:
         """Tallies of the rows xs, row xs[i] counted w[i] times."""
-        part, cols = _Partial(), self.cols
+        part, cols = _Partial(0, 0, 0, [], 0, None), self.cols
         for j, weight in zip(xs, w):
             k = cols[j].bit_count()
             key = (self.u8[j], k, self.gx[j])
@@ -443,7 +427,7 @@ def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
 
 
 def _merge(parts, statement, label, n, max_size, n_masks, elapsed) -> SweepSummary:
-    total = _Partial()
+    total = _Partial(0, 0, 0, [], 0, None)
     for part in parts:
         total.applicable += part.applicable
         total.satisfied += part.satisfied

@@ -15,23 +15,19 @@ tests use as a cross-oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import _omega_value
-from .core import ElementSet, FiniteSemigroup, _frozen, _set, iter_bits
+from .core import ElementSet, FiniteSemigroup, _Record, _set, iter_bits
 from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
 from .setops import _commutes
 
 HALL_EXHAUSTIVE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class SumMatrix:
-    """The k-by-l matrix with entry [i][j] = x_i + y_j."""
+class SumMatrix(_Record):
+    """The k-by-l matrix with entry [i][j] = x_i + y_j, for the orders
+    x_order and y_order of X and Y."""
 
-    x_order: tuple[int, ...]
-    y_order: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("x_order", "y_order", "entries")
 
     @property
     def k(self) -> int:
@@ -45,10 +41,10 @@ class SumMatrix:
         return ElementSet.from_elements(n, (v for row in self.entries for v in row))
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
-    Z: ElementSet
-    representatives: tuple[int, ...]
+class LocalizationResult(_Record):
+    """The set Z and the representative z_i chosen in each row, in order."""
+
+    __slots__ = ("Z", "representatives")
 
     def witness_set(self) -> ElementSet:
         """Z together with the representatives: k + l - 1 distinct elements."""
@@ -156,7 +152,7 @@ def localize(
             "localized set has %d elements, expected k + l - 1 = %d"
             % (witness.bit_count(), len(xs) + len(ys) - 1)
         )
-    return _frozen(LocalizationResult, Z=Z, representatives=tuple(matched))
+    return LocalizationResult(Z, tuple(matched))
 
 
 def _max_matching(rows: list[int], n: int) -> list[int | None]:

@@ -11,12 +11,11 @@ every caller.
 Each statement is one entry of CATALOG (its hypotheses and bounds u, v),
 defined in catalog and re-exported here with the catalog's other names.
 _evaluate reads one or more entries on one pair, for run_statement and
-every verify_* function; the sweep reads the same entries on its columns.
+every verify_* function, and returns a BoundReport (a core._Record) for
+each; the sweep reads the same entries on its columns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .catalog import (  # noqa: F401 (the catalog's names, re-exported)
     _BOUNDS, _TESTS, CATALOG, DOMINANCE, HYPOTHESES, HYPOTHESIS_FAILURE_TEXT, STATEMENTS,
@@ -24,21 +23,18 @@ from .catalog import (  # noqa: F401 (the catalog's names, re-exported)
 )
 from .constants import _cyclic_cached
 from .core import (
-    ElementSet, ExtendedNat, FiniteSemigroup, _frozen, cyclic, dihedral, extended, maxchain,
-    product, quaternion8,
+    ElementSet, FiniteSemigroup, _Record, cyclic, dihedral, extended, maxchain, product,
+    quaternion8,
 )
 from .errors import EmptySet, TheoremViolated
 from .setops import _sumset_mask
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    statement: str
-    hypotheses: tuple[tuple[str, bool], ...]
-    lhs: int
-    rhs: ExtendedNat
-    applicable: bool
-    satisfied: bool | None
+class BoundReport(_Record):
+    """A statement's verdict on one pair: its (name, holds) hypotheses,
+    |X + Y|, the right side as an ExtendedNat, and satisfied."""
+
+    __slots__ = ("statement", "hypotheses", "lhs", "rhs", "applicable", "satisfied")
 
     def failed_hypotheses(self) -> tuple[str, ...]:
         return tuple(name for name, holds in self.hypotheses if not holds)
@@ -57,17 +53,8 @@ def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str
         entry = CATALOG[statement]
         hyps, applicable = _hypotheses(A, entry, x, y)
         rhs = _rhs(A, entry, x, y)
-        reports.append(
-            _frozen(
-                BoundReport,
-                statement=statement,
-                hypotheses=hyps,
-                lhs=lhs,
-                rhs=extended(rhs),
-                applicable=applicable,
-                satisfied=lhs >= rhs if applicable else None,
-            )
-        )
+        satisfied = lhs >= rhs if applicable else None
+        reports.append(BoundReport(statement, hyps, lhs, extended(rhs), applicable, satisfied))
     return reports
 
 

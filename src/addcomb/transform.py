@@ -20,36 +20,24 @@ false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ElementSet, FiniteSemigroup, _bit, _frozen, _set, iter_bits
+from .core import ElementSet, FiniteSemigroup, _bit, _Record, _set, iter_bits
 from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital
 from .setops import _commutes, _difference_mask, _n_fold_mask, _sumset_mask
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    m: int
-    z: int
-    x_z: int
-    y_z: int
-    y_tilde: ElementSet
-    y_prime: ElementSet
+class TransformResult(_Record):
+    """The transform of (X, Y) for exponent m and candidate z: the witness
+    pair (x_z, y_z) and the split of Y into y_tilde and y_prime."""
+
+    __slots__ = ("m", "z", "x_z", "y_z", "y_tilde", "y_prime")
 
 
-@dataclass(frozen=True)
-class TransformAudit:
+class TransformAudit(_Record):
     """Audit of one transform: items i..v are True, False, or None (the
     item's hypotheses do not hold).  The two sides of the counting
     inequality (v) are always reported."""
 
-    item_i: bool | None
-    item_ii: bool | None
-    item_iii: bool | None
-    item_iv: bool | None
-    item_v: bool | None
-    v_lhs: int
-    v_rhs: int
+    __slots__ = ("item_i", "item_ii", "item_iii", "item_iv", "item_v", "v_lhs", "v_rhs")
 
     def items(self) -> tuple[bool | None, ...]:
         return (self.item_i, self.item_ii, self.item_iii, self.item_iv, self.item_v)
@@ -103,8 +91,7 @@ def apply_transform(
             tilde = sum(1 << y for y in ys if base & preimage[y][z])
             if tilde:
                 y_z = (tilde & -tilde).bit_length() - 1
-                return _frozen(TransformResult, m=m, z=z, x_z=x, y_z=y_z,
-                               y_tilde=_set(A.n, tilde), y_prime=_set(A.n, Y.mask & ~tilde))
+                return TransformResult(m, z, x, y_z, _set(A.n, tilde), _set(A.n, Y.mask & ~tilde))
     raise CandidateInvalid("z = %d is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
 
 
@@ -144,13 +131,4 @@ def audit_transform(
     v_rhs = xp.bit_count() + ymask.bit_count()
     item_v = v_lhs >= v_rhs if (cancellative and commutative_span) else None
 
-    return _frozen(
-        TransformAudit,
-        item_i=item_i,
-        item_ii=item_ii,
-        item_iii=item_iii,
-        item_iv=item_iv,
-        item_v=item_v,
-        v_lhs=v_lhs,
-        v_rhs=v_rhs,
-    )
+    return TransformAudit(item_i, item_ii, item_iii, item_iv, item_v, v_lhs, v_rhs)

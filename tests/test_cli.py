@@ -386,12 +386,37 @@ ROUND_TRIP_CASES = [
     ["localize", "--semigroup", "cyclic:5", "--x", "{0,1}", "--y", "{0,1,2}"],
 ]
 
+# the SHA-256 of the --json output of each case but the sweeps, recorded
+# when the single-call results were frozen dataclasses
+ROUND_TRIP_SHA256 = {
+    "sumset --semigroup cyclic:5 --x {0,1} --y {0,1}":
+        "9b97a9dfaa6cc7924a7a04dc3a0bfecc4ea0c31d708645482345718081df3509",
+    "omega --semigroup cyclic:12 --z {1,4,7,10}":
+        "01c4f8a75003eb28080eb85129b47bf7a63cd932f6f6563b780e98005818288c",
+    "omega --semigroup maxchain:4 --z {1,2}":
+        "6f052a5e307a7e767bbe0f7c016fbb54b4787e744418664deaf9f3b9ec399efa",
+    "verify --semigroup cyclic:7 --statement cd --x {0,1} --y {0,2}":
+        "5125571941451db43a5db0fe37c82a9a39f0943aa2efe0e4b00b4b6bfc6290fd",
+    "verify --semigroup cyclic:12 --statement hk --x {0,1,3,4} --y {0,6}":
+        "d3a5ba0616d8996c83893d0cc0b2de7bbc518e652e12ea15dd68b6db0271ed94",
+    "verify --semigroup cyclic:12 --statement cor2.9 --x {0,1} --y {0,6}":
+        "7db7c654603c19092fc5c8192b57ad950f4f49a235a0028f849d62522a2b5540",
+    "transform --semigroup cyclic:8 --x {0,1} --y {0,1,2}":
+        "2d3f2c2a4c82a3461b8481cc43e79d3e3ae355c019babe6929ee37b743a2842b",
+    "transform --semigroup cyclic:4 --x {0} --y {0,2}":
+        "09d716a9c528f8186c05e2950c4aea3e3fa6da426b7aa277f39d4e6c465433bc",
+    "localize --semigroup cyclic:5 --x {0,1} --y {0,1,2}":
+        "9e40e78afcc6abc057c91520b5f01e796fafef4a20dacd7932ab7e254917ac99",
+}
+
 
 @pytest.mark.parametrize("argv", ROUND_TRIP_CASES, ids=lambda a: a[0] + "/" + a[2])
 def test_json_round_trip(capsys, argv):
     report, code, out, err = run_capture(capsys, argv + ["--json"])
     assert code == 0
     assert out.endswith("\n")
+    if argv[0] != "sweep":
+        assert hashlib.sha256(out.encode()).hexdigest() == ROUND_TRIP_SHA256[" ".join(argv)]
     parsed = cli.parse_report(out)
     assert parsed == report
     assert cli.serialize_report(parsed) == out
@@ -516,12 +541,18 @@ def _fresh(code: str, *argv: str, flags: tuple = ()) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# the modules that no single call and no command loads: numpy, and the
+# dataclasses machinery, which no value type of the package uses
+NEVER_LOADED = ["numpy", "dataclasses", "inspect"]
+
+
 def test_single_library_calls_leave_numpy_unloaded():
     code = """if True:
         import json, sys
         import addcomb as ac
         from addcomb.cli import parse_spec
-        loaded = ["numpy" in sys.modules]
+        never = %r
+        loaded = [[m for m in never if m in sys.modules]]
         for spec in sys.argv[1:]:
             A = parse_spec(spec)
             X, Y = ac.ElementSet.of(A.n, 0, 1), ac.ElementSet.of(A.n, 0, 1, 2)
@@ -536,13 +567,13 @@ def test_single_library_calls_leave_numpy_unloaded():
         ac.localize(A, X, Y)
         r = ac.apply_transform(A, X, Y, 1, 4)
         ac.audit_transform(A, X, Y, r)
-        loaded.append("numpy" in sys.modules)
+        loaded.append([m for m in never if m in sys.modules])
         ac.sweep(ac.cyclic(5), "CD-1813")
-        loaded.append("numpy" in sys.modules)
+        loaded.append([m for m in never if m in sys.modules])
         print(json.dumps(loaded))
-    """
+    """ % NEVER_LOADED
     assert len(QUERY_CARRIERS) == 27
-    assert _fresh(code, *QUERY_CARRIERS) == [False, False, False]
+    assert _fresh(code, *QUERY_CARRIERS) == [[], [], []]
 
 
 def _assert_command_leaves_numpy_unloaded(argv):
@@ -550,9 +581,9 @@ def _assert_command_leaves_numpy_unloaded(argv):
         import json, sys
         from addcomb.cli import main
         code = main(sys.argv[1:])
-        print(json.dumps([code, "numpy" in sys.modules]))
-    """
-    assert _fresh(code, *argv) == [0, False]
+        print(json.dumps([code] + [m for m in %r if m in sys.modules]))
+    """ % NEVER_LOADED
+    assert _fresh(code, *argv) == [0]
 
 
 @pytest.mark.parametrize("argv", NON_SWEEP_COMMANDS, ids=lambda a: a[0])
@@ -637,7 +668,7 @@ def test_sumset_command_loads_neither_localization_nor_transform():
 
 
 # the single-call halves of the library, which a sweep never runs, and the
-# dataclasses machinery of their result types
+# dataclasses machinery, which nothing loads (see NEVER_LOADED)
 UNUSED_BY_SWEEP = [
     "dataclasses",
     "inspect",

@@ -12,7 +12,6 @@ and sizes as arguments, so a longer run can compare two source trees.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from types import SimpleNamespace
@@ -149,7 +148,10 @@ def _transform_outcomes(A, X, Y):
         yield repr(result)
         yield _outcome(ac.audit_transform, A, X, Y, result)
         # malformed results: z outside the carrier, a bool x_z
-        for bad in (dataclasses.replace(result, z=n), dataclasses.replace(result, x_z=True)):
+        fields = dict(m=result.m, z=result.z, x_z=result.x_z, y_z=result.y_z,
+                      y_tilde=result.y_tilde, y_prime=result.y_prime)
+        for bad in (ac.TransformResult(**{**fields, "z": n}),
+                    ac.TransformResult(**{**fields, "x_z": True})):
             yield _outcome(ac.audit_transform, A, X, Y, bad)
     malformed = [SimpleNamespace(y_prime=ac.ElementSet(n, 0))]
     if Y.mask:
