@@ -6,9 +6,10 @@ product:(spec,spec), leftzero:n, maxchain:n, cayley:<path>), sets by index
 literals like {0,3,5}.
 
 Output is human text by default and a single canonical JSON object under
---json.  The JSON form is stable: keys sorted, no whitespace, one trailing
-newline, wall-clock timing excluded - so identical inputs produce
-byte-identical machine output regardless of --jobs.
+--json: the RunReport's to_json_dict(), whose payload is built from the
+to_json_dict() of each result record.  The JSON form is stable: keys sorted,
+no whitespace, one trailing newline, wall-clock timing excluded - so
+identical inputs produce byte-identical machine output regardless of --jobs.
 
 Exit codes: 0 success (including "not applicable"), 1 usage error,
 2 precondition/validation failure, 3 a verified bound or a theorem guard
@@ -25,6 +26,7 @@ import time
 from .core import (
     ElementSet,
     FiniteSemigroup,
+    _Record,
     cyclic,
     dihedral,
     int_literal,
@@ -131,53 +133,27 @@ def _split_pair(inner: str, whole: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-class RunReport:
+class RunReport(_Record):
     """One command's resolved carrier, result kind, and JSON-ready payload.
 
     The argv echo and wall-clock time ride along for provenance but are
-    excluded from both serialization and equality: the machine format must be
-    byte-identical across reruns and across worker counts, and flags such as
-    --jobs would otherwise leak into it."""
+    excluded from equality, and so from serialization: the machine format
+    must be byte-identical across reruns and across worker counts, and flags
+    such as --jobs would otherwise leak into it."""
 
     __slots__ = ("spec", "kind", "payload", "command", "elapsed_s")
+    _defaults = ((), None)
 
-    def __init__(self, spec: str, kind: str, payload: dict,
-                 command: tuple[str, ...] = (), elapsed_s: float | None = None):
-        self.spec, self.kind, self.payload = spec, kind, payload
-        self.command, self.elapsed_s = command, elapsed_s
-
-    def __eq__(self, other):
-        if not isinstance(other, RunReport):
-            return NotImplemented
-        return (self.spec, self.kind, self.payload) == (other.spec, other.kind, other.payload)
-
-    def __repr__(self):
-        return "RunReport(spec=%r, kind=%r, payload=%r)" % (self.spec, self.kind, self.payload)
+    def _key(self) -> tuple:  # ==, hash and to_json_dict ignore command and elapsed_s
+        return super()._key()[:3]
 
 
 def serialize_report(report: RunReport) -> str:
-    obj = {
-        "spec": report.spec,
-        "kind": report.kind,
-        "payload": report.payload,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def parse_report(text: str) -> RunReport:
-    obj = json.loads(text)
-    return RunReport(spec=obj["spec"], kind=obj["kind"], payload=obj["payload"])
-
-
-def _bound_json(rep: BoundReport) -> dict:
-    return {
-        "statement": rep.statement,
-        "hypotheses": [[name, holds] for name, holds in rep.hypotheses],
-        "lhs": rep.lhs,
-        "rhs": rep.rhs.to_json(),
-        "applicable": rep.applicable,
-        "satisfied": rep.satisfied,
-    }
+    return RunReport(**json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +252,7 @@ def _cmd_omega(args, A, labels):
 
     Z = ElementSet.parse(args.z, A.n)
     breakdown = omega(A, Z)
-    payload = {
-        "set": str(Z),
-        "rows": [[z0, inner.to_json()] for z0, inner in breakdown.rows],
-        "overall": breakdown.overall.to_json(),
-    }
+    payload = {"set": str(Z), **breakdown.to_json_dict()}
     lines = ["omega(%s) over %s" % (_set(Z, labels), A.label)]
     for z0, inner in breakdown.rows:
         lines.append("  z0 %s: %s" % (_el(z0, labels), inner))
@@ -299,7 +271,7 @@ def _cmd_verify(args, A, labels):
         reports = [hk] + ([sharper] if sharper is not None else [])
     else:
         reports = [run_statement(A, statement, X, Y)]
-    payload = {"reports": [_bound_json(r) for r in reports]}
+    payload = {"reports": [r.to_json_dict() for r in reports]}
     lines = [_render_bound(reports[0])]
     for extra in reports[1:]:
         lines.append(_render_bound(extra, prefix="sharper %s: " % extra.statement))
@@ -323,37 +295,15 @@ def _cmd_transform(args, A, labels):
     X = ElementSet.parse(args.x, A.n)
     Y = ElementSet.parse(args.y, A.n)
     candidates = transform_candidates(A, X, Y, m=args.m)
+    payload = {"m": args.m, "candidates": str(candidates), "result": None, "audit": None}
     if candidates.mask == 0:
-        payload = {
-            "m": args.m,
-            "candidates": str(candidates),
-            "result": None,
-            "audit": None,
-        }
         return ("transform", payload, "no transform candidates", EXIT_OK)
     z = args.z if args.z is not None else candidates.elements()[0]
     result = apply_transform(A, X, Y, args.m, z)
     audit = audit_transform(A, X, Y, result)
-    payload = {
-        "m": args.m,
-        "candidates": str(candidates),
-        "result": {
-            "z": result.z,
-            "x_z": result.x_z,
-            "y_z": result.y_z,
-            "y_tilde": str(result.y_tilde),
-            "y_prime": str(result.y_prime),
-        },
-        "audit": {
-            "item_i": audit.item_i,
-            "item_ii": audit.item_ii,
-            "item_iii": audit.item_iii,
-            "item_iv": audit.item_iv,
-            "item_v": audit.item_v,
-            "v_lhs": audit.v_lhs,
-            "v_rhs": audit.v_rhs,
-        },
-    }
+    payload["result"] = result.to_json_dict()
+    del payload["result"]["m"]  # the payload's own m
+    payload["audit"] = audit.to_json_dict()
     lines = [
         "candidates %s" % _set(candidates, labels),
         "z = %s: x_z = %s, y_z = %s"
@@ -382,14 +332,9 @@ def _cmd_localize(args, A, labels):
     Z = ElementSet.parse(args.z, A.n) if args.z is not None else None
     result = localize(A, X, Y, Z)
     matrix = sum_matrix(A, X, Y)
-    payload = {
-        "z": str(result.Z),
-        "representatives": list(result.representatives),
-        "witness": str(result.witness_set()),
-        "x_order": list(matrix.x_order),
-        "y_order": list(matrix.y_order),
-        "entries": [list(row) for row in matrix.entries],
-    }
+    witness = result.witness_set()
+    payload = {**result.to_json_dict(), **matrix.to_json_dict(), "witness": str(witness)}
+    payload["z"] = payload.pop("Z")
     cells = [
         [
             ("[%s]" if matrix.entries[i][j] == result.representatives[i] else "%s")
@@ -407,7 +352,6 @@ def _cmd_localize(args, A, labels):
         "representatives: %s"
         % ", ".join(_el(e, labels) for e in result.representatives)
     )
-    witness = result.witness_set()
     lines.append("localized set %s (size %d)" % (_set(witness, labels), len(witness)))
     return ("localize", payload, "\n".join(lines), EXIT_OK)
 

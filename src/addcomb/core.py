@@ -31,7 +31,10 @@ The library works on bit masks and plain ints, with the integer INF for
 infinity, and wraps results only when it returns them, without re-checking
 them: ``extended`` reads shared ``ExtendedNat`` values and ``_set`` builds an
 ``ElementSet`` directly.  ``_Record`` is the base of every other value type:
-the catalog entries, the sweep's value types and the single-call results.
+the catalog entries, the sweep's value types, the single-call results and
+the command line's run report.  Its ``to_json_dict`` is the one JSON form of
+each: the fields that == compares, with sets as literals and infinity as
+"infinity".
 """
 
 from __future__ import annotations
@@ -164,7 +167,8 @@ class _Record:
     dataclass's: its repr names them, == and hash read _key(), and it is
     immutable, and pickled and copied by its constructor.  The constructor
     takes the fields by position or keyword, and _defaults are the defaults
-    of the last ones."""
+    of the last ones.  _key() is the values of the first fields, so a
+    subclass may leave the last ones out of == and of to_json_dict()."""
 
     __slots__ = ()
     _defaults = ()
@@ -186,6 +190,10 @@ class _Record:
     def _key(self) -> tuple:
         return tuple(self._dict().values())
 
+    def to_json_dict(self) -> dict:
+        """The fields that == compares, by name, as JSON values."""
+        return dict(zip(self.__slots__, map(_json, self._key())))
+
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is type(self) else NotImplemented
 
@@ -203,6 +211,20 @@ class _Record:
     def __reduce__(self):
         # by the constructor, since unpickling slots calls __setattr__
         return type(self), tuple(self._dict().values())
+
+
+def _json(value):
+    """value as JSON: a record as its dict, an ElementSet as its literal, an
+    ExtendedNat by to_json() and a tuple as a list; anything else as it is."""
+    if isinstance(value, _Record):
+        return value.to_json_dict()
+    if isinstance(value, ElementSet):
+        return str(value)
+    if isinstance(value, ExtendedNat):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return list(map(_json, value))
+    return value
 
 
 def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:
@@ -499,10 +521,13 @@ class FiniteSemigroup:
         )
 
     def add(self, a: int, b: int) -> int:
+        _bit(a, self.n)
+        _bit(b, self.n)
         return self.table[a][b]
 
     def inverse(self, z: int) -> int | None:
         """Two-sided inverse of z, or None if z is not a unit."""
+        _bit(z, self.n)
         return self._inverse[z]
 
     def full_set(self) -> ElementSet:

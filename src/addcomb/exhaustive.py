@@ -46,8 +46,9 @@ chunks (CHUNK rows each, independent of the worker count), chunks are
 evaluated in parallel, and partial results are merged in chunk order.
 Enumeration within a chunk is ascending by bit pattern, so the summary -
 including the ordering of any violation witnesses - is byte-identical for
-any --jobs value.  Wall-clock time is carried on the side and never enters
-the machine-readable dictionary.
+any --jobs value.  Wall-clock time, SweepSummary.elapsed_s, is carried on
+the side: == ignores it, so to_json_dict(), which holds the fields that ==
+compares, leaves it out.
 """
 
 from __future__ import annotations
@@ -88,17 +89,8 @@ class SweepSummary(_Record):
                  "satisfied", "violation_count", "violations", "tight", "first_tight", "elapsed_s")
     _defaults = (None,)
 
-    def _key(self) -> tuple:  # == and hash ignore elapsed_s
+    def _key(self) -> tuple:  # ==, hash and to_json_dict ignore elapsed_s
         return super()._key()[:-1]
-
-    def to_json_dict(self) -> dict:
-        """Machine-readable form; deliberately excludes wall-clock time so
-        repeated runs serialize identically."""
-        out = self._dict()
-        del out["elapsed_s"]
-        out["violations"] = [v._dict() for v in self.violations]
-        out["first_tight"] = self.first_tight and self.first_tight._dict()
-        return out
 
 
 class _Partial(_Record):

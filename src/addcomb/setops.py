@@ -34,9 +34,9 @@ def sumset(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ElementSet:
 def n_fold(A: FiniteSemigroup, Z: ElementSet, k: int) -> ElementSet:
     """Z + Z + ... + Z with k summands (k >= 1).
 
-    The reference computation is strict left-to-right repeated sumset.  On a
-    commutative carrier a square-and-add shortcut is used instead; the two
-    agree by associativity and the tests pin that agreement.
+    Z is added on the right until k summands or until a sum recurs; the
+    sums from then on repeat with a fixed period, so kZ is read off that
+    cycle, and a large k costs no more than the sums before the recurrence.
     """
     A.check_set(Z)
     if k < 1:
@@ -45,20 +45,15 @@ def n_fold(A: FiniteSemigroup, Z: ElementSet, k: int) -> ElementSet:
 
 
 def _n_fold_mask(A: FiniteSemigroup, zmask: int, k: int) -> int:
-    if not (A.is_commutative and k >= 4):
-        acc = zmask
-        for _ in range(k - 1):
-            acc = _sumset_mask(A, acc, zmask)
-        return acc
-    acc = 0  # 0 summands so far; combined lazily to avoid an identity element
-    power = zmask  # 2^i-fold sum of Z
-    while k:
-        if k & 1:
-            acc = power if acc == 0 else _sumset_mask(A, acc, power)
-        k >>= 1
-        if k:
-            power = _sumset_mask(A, power, power)
-    return acc
+    sums, seen = [zmask], {zmask: 0}  # sums[j] = (j + 1)Z
+    for _ in range(k - 1):  # range() refuses a non-integer k
+        acc = _sumset_mask(A, sums[-1], zmask)
+        if acc in seen:  # (j + 1)Z for j >= start repeats with period len(sums) - start
+            start = seen[acc]
+            return sums[start + (k - 1 - start) % (len(sums) - start)]
+        seen[acc] = len(sums)
+        sums.append(acc)
+    return sums[-1]
 
 
 def right_difference(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ElementSet:

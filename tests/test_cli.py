@@ -367,6 +367,17 @@ def test_transform_human(capsys):
     assert report.payload["result"] is None
 
 
+def test_transform_with_a_huge_m_reads_the_cycle_of_sums(capsys):
+    # (m-1)X is read off the cycle of sums, so m = 10^9 costs what m = 2 does
+    # ({0,3} is a subgroup of dihedral:3); adding X m - 2 times took minutes
+    argv = ["transform", "--semigroup", "dihedral:3", "--x", "{0,3}", "--y", "{0,1}", "--json"]
+    _, code, huge, _ = run_capture(capsys, argv + ["--m", "1000000000"])
+    _, _, small, _ = run_capture(capsys, argv + ["--m", "2"])
+    assert code == 0
+    assert json.loads(huge)["payload"] == {**json.loads(small)["payload"], "m": 10**9}
+    assert json.loads(huge)["payload"]["candidates"] == "{2,5}"
+
+
 # ---------------------------------------------------------------------------
 # Machine output
 # ---------------------------------------------------------------------------
@@ -408,6 +419,47 @@ ROUND_TRIP_SHA256 = {
     "localize --semigroup cyclic:5 --x {0,1} --y {0,1,2}":
         "9e40e78afcc6abc057c91520b5f01e796fafef4a20dacd7932ab7e254917ac99",
 }
+
+
+# the SHA-256 of the text output of each case, and of one more sweep, with
+# the sweeps' elapsed line dropped, recorded when each handler listed its
+# payload's fields by hand
+TEXT_SHA256 = {
+    "sumset --semigroup cyclic:5 --x {0,1} --y {0,1}":
+        "69bdf2282e6cb969295aad39962457c360a0ccaaa0cc4da556d399007714f868",
+    "omega --semigroup cyclic:12 --z {1,4,7,10}":
+        "35bda4969cc9515c1ede1b6d11d64bbe7fa8f7d3c5a77b682ebf8225b927b1c0",
+    "omega --semigroup maxchain:4 --z {1,2}":
+        "a7fe774aa962db18e8b213d0366d1450abbed8400070ff4db31806c4769b5871",
+    "verify --semigroup cyclic:7 --statement cd --x {0,1} --y {0,2}":
+        "31dd97eef8a3e7a3dae1863bec51246415c53d335745b604a8852fa0c59447a7",
+    "verify --semigroup cyclic:12 --statement hk --x {0,1,3,4} --y {0,6}":
+        "2112a4e9b773a42bf55a2bfce1ace49153257f3cecdf7a2ab6b4b51ff42f4f65",
+    "verify --semigroup cyclic:12 --statement cor2.9 --x {0,1} --y {0,6}":
+        "31dd97eef8a3e7a3dae1863bec51246415c53d335745b604a8852fa0c59447a7",
+    "sweep --semigroup cyclic:6 --statement thm2.2":
+        "d3ee2457bd24b177e930c7ea1ba19930fb082bb05112ea6a9ed4d05eeacef4b2",
+    "sweep --semigroup dihedral:3 --statement kemperman --max-size 2":
+        "7707fd802017be0cca84af4b3f88a057ac46d191eacf0745196057d4ddbbf135",
+    "transform --semigroup cyclic:8 --x {0,1} --y {0,1,2}":
+        "812ed27231cfe6a3a9e5e9218c7525ec18d93f5a0378a886f786118f050f5799",
+    "transform --semigroup cyclic:4 --x {0} --y {0,2}":
+        "d65a46bab2d584a2719fdae02a1f6b69270bdfdc1015caa9ab117042b7e9d536",
+    "localize --semigroup cyclic:5 --x {0,1} --y {0,1,2}":
+        "8b3b7db81a208141d7eb6953bb74ea17ec67a64e5f2fcaa184f65026a18c2465",
+    "sweep --semigroup dihedral:4 --statement thm2.2":
+        "06acd711f6cc62cdd939d5e999b984430f457da2dae624a2c0d0f7cd680b5fd3",
+}
+
+
+@pytest.mark.parametrize("command", TEXT_SHA256)
+def test_text_output_is_pinned(capsys, command):
+    _, code, out, _ = run_capture(capsys, command.split())
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(True) if not line.startswith("elapsed "))
+    if command.startswith("sweep"):
+        assert len(kept.splitlines()) == len(out.splitlines()) - 1
+    assert hashlib.sha256(kept.encode()).hexdigest() == TEXT_SHA256[command]
 
 
 @pytest.mark.parametrize("argv", ROUND_TRIP_CASES, ids=lambda a: a[0] + "/" + a[2])

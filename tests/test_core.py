@@ -271,6 +271,16 @@ def test_element_order_rejects_an_index_outside_the_carrier():
             ac.element_order(z5, z)
 
 
+def test_add_and_inverse_reject_an_index_outside_the_carrier():
+    # a negative index used to wrap (add(-1, 0) gave 4, inverse(-1) gave 1),
+    # and add(5, 0) raised a bare IndexError
+    z5 = ac.cyclic(5)
+    for call in (lambda: z5.add(-1, 0), lambda: z5.inverse(-1), lambda: z5.add(5, 0)):
+        with pytest.raises(ac.IndexOutOfRange):
+            call()
+    assert z5.add(4, 3) == 2 and z5.inverse(4) == 1
+
+
 def test_element_order_matches_oracle_everywhere():
     for A in (ac.cyclic(9), ac.dihedral(4), ac.maxchain(5), ac.leftzero(4)):
         for z in range(A.n):

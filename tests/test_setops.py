@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import addcomb as ac
+from addcomb import cli
 from support import commutative_span_masks, iter_nonempty_masks, sumset_oracle
 
 
@@ -57,17 +58,28 @@ def test_n_fold_pins():
     assert ac.n_fold(z8, _s(8, 0, 1), 4) == _s(8, 0, 1, 2, 3, 4)
 
 
-def test_n_fold_doubling_agrees_with_iteration():
-    # the square-and-add fast path must match plain left-to-right folding
-    for A in (ac.cyclic(9), ac.maxchain(4), ac.product(ac.cyclic(2), ac.cyclic(4))):
-        assert A.is_commutative
+def test_n_fold_agrees_with_step_by_step_sums():
+    # kZ read off the cycle of sums must match plain left-to-right folding,
+    # past the point where the sums recur, on commutative and other carriers
+    carriers = (ac.cyclic(9), ac.maxchain(4), ac.product(ac.cyclic(2), ac.cyclic(4)),
+                ac.dihedral(3), ac.leftzero(3))
+    assert [A.is_commutative for A in carriers] == [True, True, True, False, False]
+    for A in carriers:
         for mask in iter_nonempty_masks(min(A.n, 6)):
             X = ac.ElementSet(A.n, mask)
-            for k in range(1, 9):
-                step = X
-                for _ in range(k - 1):
-                    step = ac.sumset(A, step, X)
+            step = X
+            for k in range(1, 30):
                 assert ac.n_fold(A, X, k) == step
+                step = ac.sumset(A, step, X)
+
+
+def test_n_fold_of_a_huge_count_reads_the_cycle():
+    d3 = ac.dihedral(3)  # rotations 0, 1, 2; reflections 3, 4, 5
+    k = 10**18  # k = 1 mod 3, and even
+    assert ac.n_fold(d3, _s(6, 0, 3), k) == _s(6, 0, 3)  # a subgroup
+    assert ac.n_fold(d3, _s(6, 1), k) == _s(6, 1)  # r^k = r
+    assert ac.n_fold(d3, _s(6, 3), k) == _s(6, 0)  # s^k = e
+    assert ac.n_fold(d3, _s(6, 3), k + 1) == _s(6, 3)
 
 
 def test_n_fold_non_commutative_and_errors():
@@ -76,6 +88,9 @@ def test_n_fold_non_commutative_and_errors():
     assert ac.n_fold(d3, X, 3) == ac.sumset(d3, ac.sumset(d3, X, X), X)
     with pytest.raises(ac.ValidationError):
         ac.n_fold(d3, X, 0)
+    for k in (2.5, 5.0):
+        with pytest.raises(TypeError):
+            ac.n_fold(d3, X, k)
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +182,43 @@ def test_span_is_commutative_matches_closure_oracle():
         for mask in iter_nonempty_masks(A.n):
             Y = ac.ElementSet(A.n, mask)
             assert ac.span_is_commutative(A, Y) == (mask in want), (A.label, mask)
+
+
+# ---------------------------------------------------------------------------
+# Least sumsets: Eliahou-Kervaire-Plagne
+# ---------------------------------------------------------------------------
+
+# every abelian group of order <= 8, as the spec grammar builds it from
+# cyclic factors above 1, with both orders of two unequal factors
+EKP_CARRIERS = ["cyclic:%d" % n for n in range(1, 9)] + [
+    "product:(cyclic:2,cyclic:2)",
+    "product:(cyclic:2,cyclic:3)",
+    "product:(cyclic:3,cyclic:2)",
+    "product:(cyclic:2,cyclic:4)",
+    "product:(cyclic:4,cyclic:2)",
+    "product:(cyclic:2,product:(cyclic:2,cyclic:2))",
+]
+
+
+def _ekp_mu(n, r, s):
+    """min over d | n of (ceil(r/d) + ceil(s/d) - 1) d: the least |X + Y|
+    over |X| = r, |Y| = s in an abelian group of order n (Eliahou,
+    Kervaire and Plagne, "Optimally small sumsets in finite abelian
+    groups", 2003)."""
+    return min((-(-r // d) - (-s // d) - 1) * d for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("spec", EKP_CARRIERS)
+def test_least_sumsets_on_abelian_groups_equal_ekp(spec):
+    A = cli.parse_spec(spec)
+    assert A.is_group and A.is_commutative
+    n = A.n
+    sets = [(ac.ElementSet(n, mask), mask.bit_count()) for mask in range(1, 1 << n)]
+    least = {}
+    for X, r in sets:
+        for Y, s in sets:
+            size = len(ac.sumset(A, X, Y))
+            if size < least.get((r, s), n + 1):
+                least[r, s] = size
+    sizes = range(1, n + 1)
+    assert least == {(r, s): _ekp_mu(n, r, s) for r in sizes for s in sizes}

@@ -14,6 +14,7 @@ import pytest
 import addcomb as ac
 import addcomb.catalog as catalog
 import addcomb.exhaustive as sweep_mod
+from addcomb import cli
 from addcomb.constants import _delta_value, _omega_value, _pillai_value
 from addcomb.core import INF
 from addcomb.setops import _commutes
@@ -601,3 +602,27 @@ def test_sweep_value_types_keep_their_contracts():
         doctored = copy.copy(value)
         object.__setattr__(doctored, field, 0)
         assert getattr(doctored, field) == 0 and getattr(value, field) != 0
+
+    # the command line's run report is a record too: ==, and so its JSON
+    # form, ignore command and elapsed_s, and its dict payload leaves it
+    # unhashable, as it was when it was a plain class
+    report = cli.RunReport("cyclic:3", "sweep", out, ("sweep", "--jobs", "2"), 0.5)
+    assert repr(report) == (
+        "RunReport(spec='cyclic:3', kind='sweep', payload=%r, command=('sweep', '--jobs', '2'), "
+        "elapsed_s=0.5)" % (out,)
+    )
+    bare = cli.RunReport(spec="cyclic:3", kind="sweep", payload=out)
+    assert bare.command == () and bare.elapsed_s is None and bare == report
+    assert cli.RunReport("cyclic:3", "omega", out) != report
+    assert report.to_json_dict() == {"spec": "cyclic:3", "kind": "sweep", "payload": out}
+    assert cli.parse_report(cli.serialize_report(report)) == report
+    with pytest.raises(TypeError):
+        hash(report)
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert type(copied) is cli.RunReport and copied == report
+        assert repr(copied) == repr(report)
+    for field in cli.RunReport.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+        with pytest.raises(AttributeError):
+            delattr(report, field)
