@@ -19,6 +19,7 @@ came back false (reserved for implementation bugs: it must never happen).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -52,6 +53,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
+MAX_FILE_BYTES = 1 << 20  # a table or labels file; a 64 x 64 table is about 12 KB
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +96,21 @@ def _parse_spec(text: str) -> FiniteSemigroup:
         return product(_parse_spec(left), _parse_spec(right))
     if head == "cayley":
         path = rest.strip()
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = fh.read()
-        except (OSError, ValueError) as exc:
-            # ValueError: a NUL in the path, or a file that is not UTF-8
-            raise ParseError("cannot read table file %r: %s" % (path, exc)) from None
-        return parse_cayley_text(data, label="cayley:%s" % path)
+        return parse_cayley_text(_read_text(path, "table"), label="cayley:%s" % path)
     raise UnknownSpec("unknown construction %r in spec %r" % (head, text))
+
+
+def _read_text(path: str, kind: str) -> str:
+    """The text of a UTF-8 file of at most MAX_FILE_BYTES bytes."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
+        if len(data) <= MAX_FILE_BYTES:
+            return data.decode("utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL in the path, or a file that is not UTF-8
+        raise ParseError("cannot read %s file %r: %s" % (kind, path, exc)) from None
+    raise ParseError("%s file %r is over %d bytes" % (kind, path, MAX_FILE_BYTES))
 
 
 def _int_arg(rest: str, whole: str) -> int:
@@ -162,12 +171,9 @@ def parse_report(text: str) -> RunReport:
 
 
 def _load_labels(path: str, n: int) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:
-        # ValueError: a NUL in the path, or a file that is not UTF-8
-        raise ParseError("cannot read labels file %r: %s" % (path, exc)) from None
+    # split at \n, \r\n or \r, as a file read as text is
+    lines = io.StringIO(_read_text(path, "labels"), newline=None)
+    names = [line.strip() for line in lines if line.strip()]
     if len(names) < n:
         raise ParseError(
             "labels file %r names %d elements, carrier has %d" % (path, len(names), n)

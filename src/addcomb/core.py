@@ -30,11 +30,13 @@ evaluated by its function in ``catalog`` on a mask or on column sets of masks.
 The library works on bit masks and plain ints, with the integer INF for
 infinity, and wraps results only when it returns them, without re-checking
 them: ``extended`` reads shared ``ExtendedNat`` values and ``_set`` builds an
-``ElementSet`` directly.  ``_Record`` is the base of every other value type:
-the catalog entries, the sweep's value types, the single-call results and
-the command line's run report.  Its ``to_json_dict`` is the one JSON form of
-each: the fields that == compares, with sets as literals and infinity as
-"infinity".
+``ElementSet`` directly.  ``_Record`` is the base of every value type:
+``ElementSet`` and ``ExtendedNat``, the catalog entries, the sweep's value
+types, the single-call results and the command line's run report.  Its
+``to_json_dict`` is the one JSON form of each: the fields that == compares,
+with sets as literals and infinity as "infinity".  ``FiniteSemigroup``
+derives its fields from its table, so it is immutable in the same way but
+pickles by its table and label.
 """
 
 from __future__ import annotations
@@ -81,93 +83,13 @@ def int_literal(token: str) -> int:
     return int(token)
 
 
-@functools.total_ordering
-class ExtendedNat:
-    """A natural number extended with a single infinite value.
-
-    The infinite value stands for the cardinality of the naturals; it
-    compares greater than every finite value.  Only comparisons (and hence
-    min/max) are defined; arithmetic on these values is never needed and
-    deliberately raises.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None):
-        if value is not None:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError("ExtendedNat value must be a non-negative int or None")
-        object.__setattr__(self, "value", value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __eq__(self, other):
-        if isinstance(other, ExtendedNat):
-            return self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other  # never for infinity or a negative int
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, ExtendedNat):
-            other = other.value
-        elif not isinstance(other, int) or isinstance(other, bool):
-            return NotImplemented
-        # infinity is below nothing; every value is above a negative int
-        return self.value is not None and (other is None or self.value < other)
-
-    def __hash__(self):
-        # finite values equal their int, so they must hash like it
-        if self.value is None:
-            return hash(("ExtendedNat", None))
-        return hash(self.value)
-
-    def _no_arithmetic(self, *_):
-        raise TypeError("ExtendedNat supports ordering only, not arithmetic")
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _no_arithmetic
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtendedNat is immutable")
-
-    def __reduce__(self):
-        return (ExtendedNat, (self.value,))
-
-    def to_json(self):
-        return "infinity" if self.value is None else self.value
-
-    @classmethod
-    def from_json(cls, obj) -> "ExtendedNat":
-        if obj == "infinity":
-            return INFINITY
-        if isinstance(obj, int) and not isinstance(obj, bool):
-            return cls(obj)
-        raise ParseError("not an extended natural: %r" % (obj,))
-
-    def __str__(self):
-        return "infinity" if self.value is None else str(self.value)
-
-    def __repr__(self):
-        return "ExtendedNat(%r)" % (self.value,)
-
-
-INFINITY = ExtendedNat(None)
-_EXTENDED = (*map(ExtendedNat, range(INF)), INFINITY)
-
-
-def extended(value: int) -> ExtendedNat:
-    """value, in [0, INF], as a shared ExtendedNat, INF as infinity."""
-    return _EXTENDED[value]
-
-
 class _Record:
     """A value whose fields are its __slots__, in order, as a frozen
     dataclass's: its repr names them, == and hash read _key(), and it is
     immutable, and pickled and copied by its constructor.  The constructor
     takes the fields by position or keyword, and _defaults are the defaults
-    of the last ones.  _key() is the values of the first fields, so a
+    of the last ones; a subclass checks its fields in __new__, since
+    __init__ is compiled.  _key() is the values of the first fields, so a
     subclass may leave the last ones out of == and of to_json_dict()."""
 
     __slots__ = ()
@@ -213,15 +135,90 @@ class _Record:
         return type(self), tuple(self._dict().values())
 
 
+@functools.total_ordering
+class ExtendedNat(_Record):
+    """A natural number extended with a single infinite value.
+
+    The infinite value stands for the cardinality of the naturals; it
+    compares greater than every finite value.  Only comparisons (and hence
+    min/max) are defined; arithmetic on these values is never needed and
+    deliberately raises.  A finite value equals, and hashes as, its int.
+    """
+
+    __slots__ = ("value",)
+
+    def __new__(cls, value: int | None):
+        if value is not None:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError("ExtendedNat value must be a non-negative int or None")
+        return object.__new__(cls)
+
+    @property
+    def is_finite(self) -> bool:
+        return self.value is not None
+
+    def __eq__(self, other):
+        if isinstance(other, ExtendedNat):
+            return self.value == other.value
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.value == other  # never for infinity or a negative int
+        return NotImplemented
+
+    def __lt__(self, other):
+        if isinstance(other, ExtendedNat):
+            other = other.value
+        elif not isinstance(other, int) or isinstance(other, bool):
+            return NotImplemented
+        # infinity is below nothing; every value is above a negative int
+        return self.value is not None and (other is None or self.value < other)
+
+    def __hash__(self):
+        # finite values equal their int, so they must hash like it
+        if self.value is None:
+            return hash(("ExtendedNat", None))
+        return hash(self.value)
+
+    def _no_arithmetic(self, *_):
+        raise TypeError("ExtendedNat supports ordering only, not arithmetic")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _no_arithmetic
+
+    def to_json(self):
+        return "infinity" if self.value is None else self.value
+
+    @classmethod
+    def from_json(cls, obj) -> "ExtendedNat":
+        if obj == "infinity":
+            return INFINITY
+        if isinstance(obj, int) and not isinstance(obj, bool):
+            return cls(obj)
+        raise ParseError("not an extended natural: %r" % (obj,))
+
+    def __str__(self):
+        return "infinity" if self.value is None else str(self.value)
+
+    def __repr__(self):
+        return "ExtendedNat(%r)" % (self.value,)
+
+
+INFINITY = ExtendedNat(None)
+_EXTENDED = (*map(ExtendedNat, range(INF)), INFINITY)
+
+
+def extended(value: int) -> ExtendedNat:
+    """value, in [0, INF], as a shared ExtendedNat, INF as infinity."""
+    return _EXTENDED[value]
+
+
 def _json(value):
     """value as JSON: a record as its dict, an ElementSet as its literal, an
     ExtendedNat by to_json() and a tuple as a list; anything else as it is."""
-    if isinstance(value, _Record):
-        return value.to_json_dict()
     if isinstance(value, ElementSet):
         return str(value)
     if isinstance(value, ExtendedNat):
         return value.to_json()
+    if isinstance(value, _Record):
+        return value.to_json_dict()
     if isinstance(value, tuple):
         return list(map(_json, value))
     return value
@@ -244,24 +241,18 @@ def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:
     return outer(map(inner, map(get, get(w) if z0s is zs else map(w.__getitem__, z0s))))
 
 
-class ElementSet:
+class ElementSet(_Record):
     """An immutable subset of the carrier [0, n), stored as a bit mask."""
 
     __slots__ = ("n", "mask")
+    _defaults = (0,)
 
-    def __init__(self, n: int, mask: int = 0):
+    def __new__(cls, n: int, mask: int = 0):
         if not 1 <= n <= MAX_CARRIER:
             raise CarrierTooLarge("carrier size %r outside [1, %d]" % (n, MAX_CARRIER))
         if not 0 <= mask < (1 << n):
             raise IndexOutOfRange("mask %#x has bits outside [0, %d)" % (mask, n))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ElementSet is immutable")
-
-    def __reduce__(self):
-        return (ElementSet, (self.n, self.mask))
+        return object.__new__(cls)
 
     @classmethod
     def of(cls, n: int, *elements: int) -> "ElementSet":
@@ -346,14 +337,6 @@ class ElementSet:
         self._check_same_carrier(other)
         return self.mask & ~other.mask == 0
 
-    def __eq__(self, other):
-        if not isinstance(other, ElementSet):
-            return NotImplemented
-        return self.n == other.n and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
-
     def __str__(self):
         return "{%s}" % ",".join(str(z) for z in iter_bits(self.mask))
 
@@ -382,8 +365,8 @@ class FiniteSemigroup:
 
     Structural facts (identity, units, inverses, commutativity,
     cancellativity) and the integer tables listed in the module docstring
-    are computed once at construction.  Instances are immutable and safe to
-    share across worker processes.
+    are computed once at construction.  Instances are immutable, and pickle
+    and copy through the constructor, which validates the table again.
     """
 
     __slots__ = (
@@ -507,8 +490,11 @@ class FiniteSemigroup:
             all(table[a][1 % n] == (a + 1) % n for a in range(n)),
         )
 
-    def __setattr__(self, *_):
-        raise AttributeError("FiniteSemigroup is immutable")
+    __setattr__ = __delattr__ = _Record.__setattr__
+
+    def __reduce__(self):
+        # by the constructor, which validates the table and derives the rest
+        return FiniteSemigroup, (self.table, self.label)
 
     @property
     def is_group(self) -> bool:

@@ -58,7 +58,7 @@ import math
 import struct
 import sys
 import time
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, or_
 
 from .catalog import _BOUNDS, _TESTS, CATALOG, HYPOTHESES, _check_carrier, normalize_statement
@@ -91,16 +91,6 @@ class SweepSummary(_Record):
 
     def _key(self) -> tuple:  # ==, hash and to_json_dict ignore elapsed_s
         return super()._key()[:-1]
-
-
-class _Partial(_Record):
-    """Mergeable tallies for one chunk of X rows, in the order of the
-    summary's fields of the same names; mutable, so unhashable."""
-
-    __slots__ = ("applicable", "satisfied", "violation_count", "violations", "tight",
-                 "first_tight")
-    __setattr__ = object.__setattr__
-    __hash__ = None
 
 
 class _Values(bytes):
@@ -292,9 +282,11 @@ class _SweepContext:
             sets = list(map(or_, sets, map(self.meet[i].__getitem__, p[i::step])))
         return _bit_sum(list(filter(None, sets)), self.width)
 
-    def eval_chunk(self, xs, w) -> _Partial:
-        """Tallies of the rows xs, row xs[i] counted w[i] times."""
-        part, cols = _Partial(0, 0, 0, [], 0, None), self.cols
+    def eval_chunk(self, xs, w) -> tuple:
+        """Tallies of the rows xs, row xs[i] counted w[i] times, as the
+        summary's fields applicable to first_tight, in order."""
+        applicable = satisfied = violation_count = tight = 0
+        violations, first_tight, cols = [], None, self.cols
         for j, weight in zip(xs, w):
             k = cols[j].bit_count()
             key = (self.u8[j], k, self.gx[j])
@@ -304,20 +296,20 @@ class _SweepContext:
             lhs = self._lhs(cols[j])
             below, equal = _compare(lhs, rhs, app)
             n_viol = below.bit_count()
-            part.applicable += weight * n_app
-            part.satisfied += weight * (n_app - n_viol)
-            part.violation_count += weight * n_viol
-            part.tight += weight * equal.bit_count()
+            applicable += weight * n_app
+            satisfied += weight * (n_app - n_viol)
+            violation_count += weight * n_viol
+            tight += weight * equal.bit_count()
             # X ascending, then Y ascending
-            while below and len(part.violations) < _MAX_RECORDED:
+            while below and len(violations) < _MAX_RECORDED:
                 y = (below & -below).bit_length() - 1
                 below &= below - 1
                 bound = min(max(self.u[j], self.v[y]), k + cols[y].bit_count() - 1)
-                part.violations.append(Violation(self._set(j), self._set(y), _at(lhs, y), bound))
-            if equal and part.first_tight is None:
+                violations.append(Violation(self._set(j), self._set(y), _at(lhs, y), bound))
+            if equal and first_tight is None:
                 y = (equal & -equal).bit_length() - 1
-                part.first_tight = TightPair(x=self._set(j), y=self._set(y), value=_at(lhs, y))
-        return part
+                first_tight = TightPair(x=self._set(j), y=self._set(y), value=_at(lhs, y))
+        return applicable, satisfied, violation_count, violations, tight, first_tight
 
     def _set(self, col: int) -> str:
         return str(ElementSet(self.n, self.cols[col]))
@@ -401,7 +393,7 @@ def _worker_run(xs, w):
     return _WORKER_CTX.eval_chunk(xs, w)
 
 
-def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
+def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[tuple]:
     """The tallies of rows, row i counted weight[i] times, one per chunk of
     CHUNK rows, in chunk order."""
     global multiprocessing
@@ -419,17 +411,14 @@ def _evaluate(ctx: _SweepContext, rows, weight, jobs: int) -> list[_Partial]:
 
 
 def _merge(parts, statement, label, n, max_size, n_masks, elapsed) -> SweepSummary:
-    total = _Partial(0, 0, 0, [], 0, None)
-    for part in parts:
-        total.applicable += part.applicable
-        total.satisfied += part.satisfied
-        total.violation_count += part.violation_count
-        total.violations += part.violations[: _MAX_RECORDED - len(total.violations)]
-        total.tight += part.tight
-        total.first_tight = total.first_tight or part.first_tight
-    total.violations = tuple(total.violations)
-    tallies = total._dict().values()  # the summary's fields of the same names, in order
-    return SweepSummary(statement, label, n, max_size, n_masks * n_masks, *tallies, elapsed)
+    # the tallies of no rows come first, so that no chunks at all sum to them
+    tallies = zip((0, 0, 0, [], 0, None), *parts)
+    applicable, satisfied, violation_count, violations, tight, firsts = tallies
+    violations = tuple(chain(*violations))[:_MAX_RECORDED]
+    first_tight = next(filter(None, firsts), None)
+    return SweepSummary(statement, label, n, max_size, n_masks * n_masks, sum(applicable),
+                        sum(satisfied), sum(violation_count), violations, sum(tight), first_tight,
+                        elapsed)
 
 
 def sweep(
@@ -466,7 +455,7 @@ def sweep(
     ctx = _SweepContext(A, statement, max_size)
     if ctx.weight is not None:
         parts = _evaluate(ctx, list(ctx.weight), list(ctx.weight.values()), jobs)
-    if ctx.weight is None or any(part.violation_count for part in parts):
+    if ctx.weight is None or any(count for _, _, count, *_ in parts):
         # witnesses are listed X by X, so they come from every row
         parts = _evaluate(ctx, ctx.rows, [1] * len(ctx.rows), jobs)
 

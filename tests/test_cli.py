@@ -322,6 +322,28 @@ def test_labels_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_table_and_labels_files_over_one_mib_are_refused(capsys, tmp_path):
+    # each file is valid, padded with blank lines to the limit or one byte
+    # past it; past it, a file is refused before it is read to the end
+    limit = 1 << 20
+    for size, want in ((limit, cli.EXIT_OK), (limit + 1, cli.EXIT_USAGE)):
+        table, labels = tmp_path / "table.txt", tmp_path / "labels.txt"
+        table.write_bytes(b"3\n0 1 2\n1 2 0\n2 0 1\n".ljust(size, b"\n"))
+        labels.write_bytes(b"e\na\nb\n".ljust(size, b"\n"))
+        for argv in (
+            ["sumset", "--semigroup", "cayley:%s" % table, "--x", "{1}", "--y", "{1}"],
+            ["sumset", "--semigroup", "cyclic:3", "--labels", str(labels), "--x", "{1}",
+             "--y", "{1}"],
+        ):
+            report, code, out, err = run_capture(capsys, argv)
+            assert code == want, argv
+            if want == cli.EXIT_USAGE:
+                path = table if "cayley" in argv[2] else labels
+                kind = "table" if path is table else "labels"
+                assert err == "error: %s file %r is over %d bytes\n" % (kind, str(path), limit)
+                assert report is None and not out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -501,3 +501,81 @@ def test_extended_values_are_shared_and_equal_to_fresh_ones():
     assert extended(INF) is ac.INFINITY
     assert pickle.loads(pickle.dumps(ac.INFINITY)) == ac.INFINITY
     assert pickle.loads(pickle.dumps(extended(7))) == 7
+
+
+# ---------------------------------------------------------------------------
+# One immutability contract: fields refuse set and delete, and values
+# pickle and copy through their constructors
+# ---------------------------------------------------------------------------
+
+
+def _contract_values() -> dict:
+    """A fresh value of each value type: the carrier, its sets and extended
+    naturals, every result record, a catalog entry and a run report."""
+    from addcomb.catalog import CATALOG
+    from addcomb.cli import RunReport
+
+    d4, z7 = ac.dihedral(4), ac.cyclic(7)
+    X, Y = ac.ElementSet.of(8, 0, 1), ac.ElementSet.of(8, 0, 4)
+    X7, Y7 = ac.ElementSet.of(7, 0, 1), ac.ElementSet.of(7, 0, 2)
+    transformed = ac.apply_transform(z7, X7, Y7, 1, 5)
+    swept = ac.sweep(ac.cyclic(3), "CD-1813", max_size=2)
+    return {
+        "ElementSet": X,
+        "ExtendedNat": extended(7),
+        "INFINITY": ac.INFINITY,
+        "FiniteSemigroup": d4,
+        "FiniteSemigroup-unlabelled": ac.build_semigroup([[0, 0], [0, 1]]),
+        "FiniteSemigroup-no-identity": ac.leftzero(3),
+        "BoundReport": ac.run_statement(d4, "Thm2.2", X, Y),
+        "OmegaBreakdown": ac.omega(d4, Y),
+        "SumMatrix": ac.sum_matrix(z7, X7, Y7),
+        "LocalizationResult": ac.localize(z7, X7, Y7),
+        "TransformResult": transformed,
+        "TransformAudit": ac.audit_transform(z7, X7, Y7, transformed),
+        "SweepSummary": swept,
+        "Violation": ac.Violation("{0}", "{0,1}", 1, 2),
+        "TightPair": swept.first_tight,
+        "_Statement": CATALOG["Thm2.2"],
+        "RunReport": RunReport("cyclic:3", "sweep", swept.to_json_dict(), ("sweep",), 0.5),
+    }
+
+
+CONTRACT_CASES = list(_contract_values())
+
+
+def test_contract_cases_cover_every_record_type():
+    from addcomb.core import _Record
+
+    def subclasses(cls):
+        return {cls} | {c for sub in cls.__subclasses__() for c in subclasses(sub)}
+
+    # building the values imports every module that defines a record
+    covered = {type(value) for value in _contract_values().values()}
+    assert covered == subclasses(_Record) - {_Record} | {ac.FiniteSemigroup}
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_value_types_keep_one_immutability_contract(case):
+    value = _contract_values()[case]
+    fields = type(value).__slots__
+    before = [getattr(value, name) for name in fields]
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert all(getattr(value, name) is v for name, v in zip(fields, before))
+
+    copies = (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value))
+    for copied in copies:
+        assert type(copied) is type(value)
+        assert [getattr(copied, name) for name in fields] == before
+        if isinstance(value, ac.FiniteSemigroup):
+            # rebuilt, and so validated again, from its table and label
+            assert copied.table == value.table and copied.label == value.label
+            assert repr(copied) == repr(value)
+        else:
+            assert copied == value and repr(copied) == repr(value)
+            if case != "RunReport":  # whose dict payload leaves it unhashable
+                assert hash(copied) == hash(value)
