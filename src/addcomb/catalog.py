@@ -1,7 +1,9 @@
 """The statement catalog: the hypotheses and bounds of each statement, the
-set constants that the bounds read, and the checks on a carrier.  theorems
-evaluates an entry on one pair of masks and exhaustive on its columns; a
-sweep loads this module without theorems or constants.
+DOMINANCE pairs between them, the set constants that the bounds read, and
+the checks on a carrier.  This module only defines them: theorems._evaluate,
+the one scalar evaluator, reads an entry on one pair and alone checks
+DOMINANCE, and exhaustive reads the entries on its columns; a sweep loads
+this module without theorems or constants.
 """
 
 from __future__ import annotations
@@ -127,11 +129,11 @@ CATALOG = {
 STATEMENTS = tuple(CATALOG)
 
 # Dominance between entries: (weaker, sharper) -> (the statements whose
-# run_statement checks it, the TheoremViolated text).  Whenever both apply
-# to a pair, the sharper right side is at least the weaker one; that is a
-# theorem, so a failure is a bug.  Each statement that checks a pair needs
-# at least the carrier of the other.  Thm2.2, called most, leaves its pair
-# to HK.
+# run_statement evaluates the other one too, the TheoremViolated text).
+# Whenever both apply to a pair, the sharper right side is at least the
+# weaker one; that is a theorem, so a failure is a bug.  Each statement
+# that checks a pair needs at least the carrier of the other.  Thm2.2,
+# called most, leaves its pair to HK.
 DOMINANCE = {
     ("Pillai", "Cor2.9"): (
         ("Pillai", "Cor2.9"),
@@ -139,34 +141,6 @@ DOMINANCE = {
     ),
     ("HK", "Thm2.2"): (("HK",), "omega-based right side fell below the p-constant right side"),
 }
-
-
-def _hypotheses(A: FiniteSemigroup, entry: _Statement, x: int, y: int):
-    """The hypotheses of entry on a pair of non-empty masks, as (name,
-    holds), and whether they all hold."""
-    hyps, applicable = [], True
-    for name in entry.hypotheses:
-        side, key, _ = HYPOTHESES[name]
-        test = _TESTS[key]
-        if side == "carrier":
-            holds = test(A)
-        elif side == "x":
-            holds = test(A, x, _reduce)
-        elif side == "y":
-            holds = test(A, y, _reduce)
-        elif side == "either":
-            holds = test(A, x, _reduce) or test(A, y, _reduce)
-        else:
-            holds = test(A, x.bit_count() + y.bit_count() - 1)
-        hyps.append((name, holds))
-        applicable = applicable and holds
-    return tuple(hyps), applicable
-
-
-def _rhs(A: FiniteSemigroup, entry: _Statement, x: int, y: int) -> int:
-    """The right side of entry on a pair of non-empty masks."""
-    u = _BOUNDS[entry.u](A, x, _reduce)
-    return min(max(u, _BOUNDS[entry.v](A, y, _reduce)), x.bit_count() + y.bit_count() - 1)
 
 
 def _check_carrier(A: FiniteSemigroup, statements, *sets: ElementSet) -> None:

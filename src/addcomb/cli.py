@@ -154,7 +154,7 @@ class RunReport(_Record):
     _defaults = ((), None)
 
     def _key(self) -> tuple:  # ==, hash and to_json_dict ignore command and elapsed_s
-        return super()._key()[:3]
+        return self._fields()[:3]
 
 
 def serialize_report(report: RunReport) -> str:

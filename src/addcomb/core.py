@@ -89,28 +89,25 @@ class _Record:
     immutable, and pickled and copied by its constructor.  The constructor
     takes the fields by position or keyword, and _defaults are the defaults
     of the last ones; a subclass checks its fields in __new__, since
-    __init__ is compiled.  _key() is the values of the first fields, so a
-    subclass may leave the last ones out of == and of to_json_dict()."""
+    __init__ is compiled.  _key() is _fields(), or a subclass's slice of the
+    first fields, which leaves the last ones out of == and to_json_dict()."""
 
     __slots__ = ()
     _defaults = ()
 
     def __init_subclass__(cls):
-        # compile the constructor once, as dataclasses does: it sets each
-        # field by its slot descriptor, past the raising __setattr__
+        # compile __init__ and the tuple of the fields once, as dataclasses
+        # does: __init__ sets each field by its slot descriptor, past the
+        # raising __setattr__
         names = cls.__match_args__ = cls.__slots__
         scope = {"_set_" + name: getattr(cls, name).__set__ for name in names}
         body = "".join("\n    _set_%s(self, %s)" % (name, name) for name in names)
         exec("def __init__(self, %s):%s" % (", ".join(names), body), scope)
-        cls.__init__ = scope["__init__"]
+        exec("def _fields(self):\n    return (%s)" % "".join("self.%s, " % n for n in names), scope)
+        cls.__init__, cls._fields = scope["__init__"], scope["_fields"]
         cls.__init__.__defaults__ = cls._defaults
         cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
-
-    def _dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def _key(self) -> tuple:
-        return tuple(self._dict().values())
+        cls._key = vars(cls).get("_key", cls._fields)
 
     def to_json_dict(self) -> dict:
         """The fields that == compares, by name, as JSON values."""
@@ -123,7 +120,7 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(map("%s=%r".__mod__, self._dict().items()))
+        fields = ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._fields())))
         return "%s(%s)" % (type(self).__qualname__, fields)
 
     def __setattr__(self, name, value=None):
@@ -132,7 +129,7 @@ class _Record:
 
     def __reduce__(self):
         # by the constructor, since unpickling slots calls __setattr__
-        return type(self), tuple(self._dict().values())
+        return type(self), self._fields()
 
 
 @functools.total_ordering
@@ -248,10 +245,10 @@ class ElementSet(_Record):
     _defaults = (0,)
 
     def __new__(cls, n: int, mask: int = 0):
-        if not 1 <= n <= MAX_CARRIER:
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_CARRIER:
             raise CarrierTooLarge("carrier size %r outside [1, %d]" % (n, MAX_CARRIER))
-        if not 0 <= mask < (1 << n):
-            raise IndexOutOfRange("mask %#x has bits outside [0, %d)" % (mask, n))
+        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < (1 << n):
+            raise IndexOutOfRange("mask %r has bits outside [0, %d)" % (mask, n))
         return object.__new__(cls)
 
     @classmethod

@@ -90,7 +90,7 @@ class SweepSummary(_Record):
     _defaults = (None,)
 
     def _key(self) -> tuple:  # ==, hash and to_json_dict ignore elapsed_s
-        return super()._key()[:-1]
+        return self._fields()[:-1]
 
 
 class _Values(bytes):

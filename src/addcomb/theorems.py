@@ -10,21 +10,23 @@ every caller.
 
 Each statement is one entry of CATALOG (its hypotheses and bounds u, v),
 defined in catalog and re-exported here with the catalog's other names.
-_evaluate reads one or more entries on one pair, for run_statement and
-every verify_* function, and returns a BoundReport (a core._Record) for
-each; the sweep reads the same entries on its columns.
+_evaluate is the one scalar evaluator: it reads one or more entries on one
+pair, for run_statement and every verify_* function, returns a BoundReport
+(a core._Record) for each, and is the one place that checks the DOMINANCE
+pairs between the entries it read.  The sweep reads the same entries on
+its columns.
 """
 
 from __future__ import annotations
 
 from .catalog import (  # noqa: F401 (the catalog's names, re-exported)
     _BOUNDS, _TESTS, CATALOG, DOMINANCE, HYPOTHESES, HYPOTHESIS_FAILURE_TEXT, STATEMENTS,
-    _check_carrier, _hypotheses, _rhs, _Statement, normalize_statement,
+    _check_carrier, _Statement, normalize_statement,
 )
 from .constants import _cyclic_cached
 from .core import (
-    ElementSet, FiniteSemigroup, _Record, cyclic, dihedral, extended, maxchain, product,
-    quaternion8,
+    ElementSet, FiniteSemigroup, _Record, _reduce, cyclic, dihedral, extended, maxchain,
+    product, quaternion8,
 )
 from .errors import EmptySet, TheoremViolated
 from .setops import _sumset_mask
@@ -42,28 +44,52 @@ class BoundReport(_Record):
 
 def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str):
     """The reports of the catalog statements on (X, Y), in order; the
-    carrier and the sets are checked, and |X + Y| computed, once."""
+    carrier and the sets are checked, and |X + Y| computed, once.  Raises
+    TheoremViolated when two statements that apply break a DOMINANCE pair."""
     _check_carrier(A, statements, X, Y)
     x, y = X.mask, Y.mask
     if x == 0 or y == 0:
         raise EmptySet("bound verifiers need non-empty X and Y")
     lhs = _sumset_mask(A, x, y).bit_count()
-    reports = []
+    size = x.bit_count() + y.bit_count() - 1
+    reports, rhs_of = [], {}
     for statement in statements:
         entry = CATALOG[statement]
-        hyps, applicable = _hypotheses(A, entry, x, y)
-        rhs = _rhs(A, entry, x, y)
-        satisfied = lhs >= rhs if applicable else None
-        reports.append(BoundReport(statement, hyps, lhs, extended(rhs), applicable, satisfied))
+        hyps, applicable = [], True
+        for name in entry.hypotheses:
+            side, key, _ = HYPOTHESES[name]
+            test = _TESTS[key]
+            if side == "carrier":
+                holds = test(A)
+            elif side == "x":
+                holds = test(A, x, _reduce)
+            elif side == "y":
+                holds = test(A, y, _reduce)
+            elif side == "either":
+                holds = test(A, x, _reduce) or test(A, y, _reduce)
+            else:
+                holds = test(A, size)
+            hyps.append((name, holds))
+            applicable = applicable and holds
+        rhs = min(max(_BOUNDS[entry.u](A, x, _reduce), _BOUNDS[entry.v](A, y, _reduce)), size)
+        if applicable:
+            rhs_of[statement] = rhs
+        reports.append(BoundReport(statement, tuple(hyps), lhs, extended(rhs), applicable,
+                                   lhs >= rhs if applicable else None))
+    if len(rhs_of) > 1:  # the right sides of the statements that apply
+        for (weaker, sharper), (_, text) in DOMINANCE.items():
+            if weaker in rhs_of and sharper in rhs_of and rhs_of[sharper] < rhs_of[weaker]:
+                raise TheoremViolated(text.format(sharper=rhs_of[sharper], weaker=rhs_of[weaker]))
     return reports
 
 
-def _dominate(rhs: dict[str, int]) -> None:
-    """Raise TheoremViolated when the right sides in rhs, by statement, of
-    statements that apply to one pair break a DOMINANCE pair."""
-    for (weaker, sharper), (_, text) in DOMINANCE.items():
-        if weaker in rhs and sharper in rhs and rhs[sharper] < rhs[weaker]:
-            raise TheoremViolated(text.format(sharper=rhs[sharper], weaker=rhs[weaker]))
+# The statements that run_statement evaluates with each one, so that its
+# DOMINANCE pairs are checked: the other statement of each pair listing it.
+_PARTNERS = {
+    s: tuple(weaker if s == sharper else sharper
+             for (weaker, sharper), (checked_on, _) in DOMINANCE.items() if s in checked_on)
+    for s in STATEMENTS
+}
 
 
 def is_standard_cyclic(A: FiniteSemigroup) -> bool:
@@ -103,13 +129,10 @@ def verify_zmod(m: int, X: ElementSet, Y: ElementSet) -> list[BoundReport]:
     Chowla, Pillai, Cor2.9.
 
     Whenever the latter two are both applicable, the sharper one's right
-    side must dominate; that comparison is checked here (it is a theorem),
-    and TheoremViolated is raised if it fails.
+    side must dominate; _evaluate checks that (it is a theorem) and raises
+    TheoremViolated if it fails.
     """
-    A = _cyclic_cached(m)
-    reports = _evaluate(A, X, Y, "Chowla", "Pillai", "Cor2.9")
-    _dominate({r.statement: r.rhs.value for r in reports if r.applicable})
-    return reports
+    return _evaluate(_cyclic_cached(m), X, Y, "Chowla", "Pillai", "Cor2.9")
 
 
 def verify_hk(
@@ -118,7 +141,6 @@ def verify_hk(
     """group bound min(p_constant, |X|+|Y|-1), plus the sharper omega-based
     report side by side when span(Y) is commutative."""
     hk, main = _evaluate(A, X, Y, "HK", "Thm2.2")
-    _dominate({r.statement: r.rhs.value for r in (hk, main) if r.applicable})
     return (hk, main if main.applicable else None)
 
 
@@ -130,18 +152,11 @@ def run_statement(
     A: FiniteSemigroup, statement: str, X: ElementSet, Y: ElementSet
 ) -> BoundReport:
     """Scalar dispatch by catalog id (normalized, so aliases and any case
-    are accepted); used by the CLI and by sweep cross-checks.  Each
-    DOMINANCE pair that lists the statement is checked against the other
-    statement's right side, when that one applies too."""
+    are accepted); used by the CLI and by sweep cross-checks.  The
+    statement is evaluated with its _PARTNERS, so that each DOMINANCE pair
+    that lists it is checked whenever both statements apply."""
     statement = normalize_statement(statement)
-    (report,) = _evaluate(A, X, Y, statement)
-    for (weaker, sharper), (checked_on, _) in DOMINANCE.items():
-        if statement in checked_on and report.applicable:
-            other = sharper if statement == weaker else weaker
-            entry, x, y = CATALOG[other], X.mask, Y.mask
-            if _hypotheses(A, entry, x, y)[1]:
-                _dominate({statement: report.rhs.value, other: _rhs(A, entry, x, y)})
-    return report
+    return _evaluate(A, X, Y, statement, *_PARTNERS[statement])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ def test_exit_violation_mapping(capsys, monkeypatch):
 def test_theorem_guard_survives_python_O():
     # a false pillai_delta of 1 lifts the Pillai right side above the
     # Cor2.9 one on {0,2} + {0,2} mod 4; the Cor2.9 report itself holds, so
-    # only the guard in verify_zmod can end the run with exit 3
+    # only the DOMINANCE check that run_statement makes, evaluating Cor2.9
+    # with Pillai, can end the run with exit 3
     boot = (
         "import sys; import addcomb.catalog as c; "
         "c._pillai_value = lambda m, S, reduce: 1; "

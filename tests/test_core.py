@@ -134,6 +134,37 @@ def test_element_set_carrier_checks():
         ac.ElementSet.of(4, 9)
 
 
+# Refusals that no other in-process test reaches, by id: the call and the
+# exception it raises, or, for a comparison refused with NotImplemented,
+# the value it falls back to.
+_REFUSALS = {
+    "mask-above-carrier": (lambda: ac.ElementSet(3, 8), ac.IndexOutOfRange),
+    "mask-negative": (lambda: ac.ElementSet(3, -1), ac.IndexOutOfRange),
+    "mask-float": (lambda: ac.ElementSet(8, 3.0), ac.IndexOutOfRange),
+    "mask-bool": (lambda: ac.ElementSet(8, True), ac.IndexOutOfRange),
+    "n-bool": (lambda: ac.ElementSet(True, 1), ac.CarrierTooLarge),
+    "n-float": (lambda: ac.ElementSet(8.0, 1), ac.CarrierTooLarge),
+    "from-json-str": (lambda: ac.ExtendedNat.from_json("3"), ac.ParseError),
+    "from-json-float": (lambda: ac.ExtendedNat.from_json(1.5), ac.ParseError),
+    "from-json-bool": (lambda: ac.ExtendedNat.from_json(True), ac.ParseError),
+    "from-json-none": (lambda: ac.ExtendedNat.from_json(None), ac.ParseError),
+    "extended-eq-str": (lambda: ac.ExtendedNat(3) == "3", False),
+    "extended-lt-str": (lambda: ac.ExtendedNat(3) < "3", TypeError),
+    "set-or-int": (lambda: ac.ElementSet.of(3, 0) | 3, TypeError),
+    "maxchain-0": (lambda: ac.maxchain(0), ac.ValidationError),
+    "delta-modulus-0": (lambda: ac.delta(0, ac.ElementSet.of(3, 0)), ac.PreconditionFailed),
+}
+
+
+@pytest.mark.parametrize("call, outcome", _REFUSALS.values(), ids=_REFUSALS)
+def test_refusals_raise_their_error(call, outcome):
+    if outcome is False:
+        assert call() is False
+    else:
+        with pytest.raises(outcome):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Table validation
 # ---------------------------------------------------------------------------

@@ -312,3 +312,17 @@ def test_run_statement_forces_each_guard(monkeypatch, statement, patch, m):
     monkeypatch.setattr(catalog, *patch)
     with pytest.raises(ac.TheoremViolated):
         ac.run_statement(ac.cyclic(m), statement, _s(m, 0, m // 2), _s(m, 0, m // 2))
+
+
+def test_run_statement_checks_a_dominance_pair_only_where_both_apply(monkeypatch):
+    # a false omega of 0 drops the Thm2.2 right side below HK's; the pair is
+    # checked only when Thm2.2 applies too, so not while span(Y) is not
+    # commutative: span({1,3}) is all of dihedral:3, span({0,1}) is cyclic
+    import addcomb.catalog as catalog
+
+    monkeypatch.setattr(catalog, "_omega_value", lambda A, S, reduce: 0)
+    d3 = ac.dihedral(3)
+    rep = ac.run_statement(d3, "HK", _s(6, 0, 1), _s(6, 1, 3))
+    assert rep.applicable and rep.satisfied
+    with pytest.raises(ac.TheoremViolated):
+        ac.run_statement(d3, "HK", _s(6, 0, 1), _s(6, 0, 1))
