@@ -13,9 +13,9 @@ the package loads no submodule.
 
 # each submodule and the public names it exports
 _EXPORTS = {
-    "constants": (
-        "OmegaBreakdown", "cd_constant", "delta", "omega", "omega_gcd_crosscheck",
-        "omega_pair", "pillai_delta",
+    "catalog": (
+        "STATEMENTS", "OmegaBreakdown", "cd_constant", "delta", "normalize_statement", "omega",
+        "omega_gcd_crosscheck", "omega_pair", "pillai_delta",
     ),
     "core": (
         "INFINITY", "MAX_CARRIER", "ElementSet", "ExtendedNat", "FiniteSemigroup",
@@ -38,9 +38,8 @@ _EXPORTS = {
         "span_is_commutative", "sumset",
     ),
     "theorems": (
-        "STATEMENTS", "BoundReport", "builtin_groups", "builtin_monoids",
-        "normalize_statement", "run_statement", "verify_cd", "verify_hk",
-        "verify_kemperman_weak", "verify_main", "verify_mirror", "verify_zmod",
+        "BoundReport", "builtin_groups", "builtin_monoids", "run_statement", "verify_cd",
+        "verify_hk", "verify_kemperman_weak", "verify_main", "verify_mirror", "verify_zmod",
     ),
     "transform": (
         "TransformAudit", "TransformResult", "apply_transform", "audit_transform",

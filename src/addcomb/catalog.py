@@ -1,19 +1,36 @@
-"""The statement catalog: the hypotheses and bounds of each statement, the
-DOMINANCE pairs between them, the set constants that the bounds read, and
-the checks on a carrier.  This module only defines them: theorems._evaluate,
-the one scalar evaluator, reads an entry on one pair and alone checks
-DOMINANCE, and exhaustive reads the entries on its columns; a sweep loads
-this module without theorems or constants.
+"""The statement catalog and the set constants its bounds read, each defined
+here alone.
+
+omega(Z) is the max over units z0 in Z of the min over z in Z - {z0} of
+ord(z + inverse(z0)), with max(empty) = 0 and min(empty) = infinity.  Each
+constant of a set S reduces a table w over the z0 in S (units, for omega)
+in its value function (_omega_value, for one), by core._reduce or the
+sweep's reduction; the public functions check their arguments and wrap it.
+
+    constant                     w                           inner  outer
+    omega (z0 units)             A._omega_w: ord(z - z0)     min    max
+    delta                        _gcd_w(m): gcd(m, z - z0)   max    min
+    pillai_delta                 _gcd_w(m)                   max    max
+    span commutes (core)         A._commute_w: masks         None   and_
+
+A catalog entry is one statement's hypotheses and bounds, and DOMINANCE
+orders pairs of entries.  theorems._evaluate, the one scalar evaluator,
+reads an entry on one pair and alone checks DOMINANCE; exhaustive reads
+the entries on its columns, so a sweep loads this module without theorems
+or setops.
 """
 
 from __future__ import annotations
 
 import functools
 from math import gcd, isqrt
+from operator import itemgetter
 
-from .core import INF, ElementSet, FiniteSemigroup, _Record, _reduce
-from .errors import NotGroup, ParseError
-from .setops import _commutes
+from .core import (
+    INF, ElementSet, ExtendedNat, FiniteSemigroup, _commutes, _Record, _reduce, cyclic, extended,
+    iter_bits,
+)
+from .errors import EmptySet, NotGroup, ParseError, PreconditionFailed
 
 
 def _omega_value(A: FiniteSemigroup, S, reduce=_reduce):
@@ -35,6 +52,90 @@ def _delta_value(m: int, S, reduce=_reduce):
 def _pillai_value(m: int, S, reduce=_reduce):
     """pillai_delta of S over the integers mod m."""
     return reduce(_gcd_w(m), max, max, S)
+
+
+class OmegaBreakdown(_Record):
+    """rows: one (z0, ExtendedNat) per unit z0 of Z, the inner minimum that
+    z0 contributes.
+
+    overall is the maximum over rows, or 0 when there are no rows (Z has no
+    units, or the carrier is not even unital).
+    """
+
+    __slots__ = ("rows", "overall")
+
+
+def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
+    """Full breakdown of omega(Z); overall 0 when Z contains no unit."""
+    A.check_set(Z)
+    units = iter_bits(Z.mask & A.units.mask)
+    # the rows of _omega_value; repeating an element keeps get's result a tuple
+    get = units and itemgetter(*iter_bits(Z.mask), units[0])
+    inners = [min(get(A._omega_w[z0])) for z0 in units]
+    rows = tuple(zip(units, map(extended, inners)))
+    return OmegaBreakdown(rows, extended(max(inners, default=0)))
+
+
+def omega_pair(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:
+    """max(omega(X), omega(Y))."""
+    A.check_set(X)
+    A.check_set(Y)
+    return extended(max(_omega_value(A, X.mask), _omega_value(A, Y.mask)))
+
+
+def cd_constant(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ExtendedNat:
+    """The Cauchy-Davenport constant of the pair (X, Y).
+
+    Zero when either set is empty; otherwise
+    min(max(omega(X), omega(Y)), |X| + |Y| - 1).  (The textbook definition
+    has a further branch for infinite operands, unreachable on these finite
+    carriers.)
+    """
+    omega_xy = omega_pair(A, X, Y)
+    if X.mask == 0 or Y.mask == 0:
+        return extended(0)
+    return min(omega_xy, extended(len(X) + len(Y) - 1))
+
+
+def delta(m: int, Z: ElementSet) -> int:
+    """min over z0 in Z of (max over z in Z minus {z0} of gcd(m, z - z0));
+    1 for singletons.  Z is a set of residues mod m."""
+    _check_residues(m, Z, "delta")
+    return _delta_value(m, Z.mask)
+
+
+def pillai_delta(m: int, Z: ElementSet) -> int:
+    """max of gcd(m, z - z0) over ordered pairs of distinct elements; 1 for
+    singletons.  This is the older constant that the min-max form sharpens."""
+    _check_residues(m, Z, "pillai_delta")
+    return _pillai_value(m, Z.mask)
+
+
+_cyclic_cached = functools.cache(cyclic)
+
+
+def omega_gcd_crosscheck(m: int, Z: ElementSet) -> tuple[ExtendedNat, ExtendedNat]:
+    """(ord-based omega(Z), m / delta(Z)) over the integers mod m.
+
+    The two components are provably equal for |Z| >= 2 because
+    ord(d) = m / gcd(m, d) there; callers assert the equality.
+    """
+    _check_residues(m, Z, "omega_gcd_crosscheck")
+    if len(Z) < 2:
+        raise PreconditionFailed(
+            ("size_at_least_two",),
+            "omega_gcd_crosscheck needs |Z| >= 2 (a singleton has omega infinity)",
+        )
+    return (omega(_cyclic_cached(m), Z).overall, extended(m // _delta_value(m, Z.mask)))
+
+
+def _check_residues(m: int, Z: ElementSet, name: str):
+    if m < 1:
+        raise PreconditionFailed(("positive_modulus",), "modulus must be >= 1")
+    if Z.n != m:
+        raise ValueError("set over carrier [0, %d) used with modulus %d" % (Z.n, m))
+    if Z.mask == 0:
+        raise EmptySet("%s is undefined for the empty set" % name)
 
 
 @functools.cache

@@ -192,7 +192,7 @@ def _set(S: ElementSet, labels) -> str:
 
 
 def _render_bound(rep: BoundReport, prefix: str = "") -> str:
-    from .theorems import HYPOTHESIS_FAILURE_TEXT
+    from .catalog import HYPOTHESIS_FAILURE_TEXT
 
     if not rep.applicable:
         reasons = ", ".join(
@@ -254,7 +254,7 @@ def _cmd_sumset(args, A, labels):
 
 
 def _cmd_omega(args, A, labels):
-    from .constants import omega
+    from .catalog import omega
 
     Z = ElementSet.parse(args.z, A.n)
     breakdown = omega(A, Z)
@@ -267,7 +267,8 @@ def _cmd_omega(args, A, labels):
 
 
 def _cmd_verify(args, A, labels):
-    from .theorems import normalize_statement, run_statement, verify_hk
+    from .catalog import normalize_statement
+    from .theorems import run_statement, verify_hk
 
     statement = normalize_statement(args.statement)
     X = ElementSet.parse(args.x, A.n)

@@ -25,7 +25,8 @@ scalar paths read instead of recomputing them on every call:
 - ``_standard_cyclic``: whether the table is addition mod n on the indices.
 
 Each set constant is one such table and one reduction (see ``_reduce``),
-evaluated by its function in ``catalog`` on a mask or on column sets of masks.
+evaluated on a mask or on column sets of masks: span commutativity by
+``_commutes`` here, the others by their value functions in ``catalog``.
 
 The library works on bit masks and plain ints, with the integer INF for
 infinity, and wraps results only when it returns them, without re-checking
@@ -42,7 +43,7 @@ pickles by its table and label.
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .errors import (
     CarrierTooLarge,
@@ -236,6 +237,12 @@ def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:
         return w[zs[0]][zs[0]]
     get = itemgetter(*zs)
     return outer(map(inner, map(get, get(w) if z0s is zs else map(w.__getitem__, z0s))))
+
+
+def _commutes(A: FiniteSemigroup, S, reduce=_reduce):
+    """Whether the elements of S commute pairwise: whether S lies in the
+    AND over z0 in S of A._commute_w[z0], the elements commuting with z0."""
+    return A.is_commutative or reduce(A._commute_w, None, and_, S)
 
 
 class ElementSet(_Record):
@@ -529,6 +536,14 @@ class FiniteSemigroup:
         return "<FiniteSemigroup %s (order %d)>" % (self.label, self.n)
 
 
+def _check_size(value, text: str, per: int = 1) -> None:
+    """Before any table is built, refuse a size that is a bool, a non-int or
+    below 1 (text names it by repr), or a carrier of per * value elements."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(text % (value,))
+    _check_order(per * value)
+
+
 def _check_order(n: int) -> None:
     """Refuse an oversized carrier before anything of size n is built."""
     if n > MAX_CARRIER:
@@ -630,9 +645,7 @@ def centralizer(A: FiniteSemigroup, X: ElementSet) -> ElementSet:
 
 def cyclic(m: int) -> FiniteSemigroup:
     """The integers mod m under addition."""
-    if m < 1:
-        raise ValidationError("cyclic group needs m >= 1, got %d" % m)
-    _check_order(m)
+    _check_size(m, "cyclic group needs m >= 1, got %r")
     table = [[(a + b) % m for b in range(m)] for a in range(m)]
     return build_semigroup(table, label="cyclic:%d" % m)
 
@@ -647,10 +660,8 @@ def dihedral(k: int) -> FiniteSemigroup:
       s r^a * r^b = s r^{a+b}
       s r^a * s r^b = r^{b-a}
     """
-    if k < 1:
-        raise ValidationError("dihedral group needs k >= 1, got %d" % k)
+    _check_size(k, "dihedral group needs k >= 1, got %r", per=2)
     n = 2 * k
-    _check_order(n)
     table = [[0] * n for _ in range(n)]
     for a in range(k):
         for b in range(k):
@@ -704,17 +715,13 @@ def product(A: FiniteSemigroup, B: FiniteSemigroup) -> FiniteSemigroup:
 
 def leftzero(n: int) -> FiniteSemigroup:
     """Left-zero semigroup: a + b = a.  No identity for n >= 2."""
-    if n < 1:
-        raise ValidationError("left-zero semigroup needs n >= 1, got %d" % n)
-    _check_order(n)
+    _check_size(n, "left-zero semigroup needs n >= 1, got %r")
     table = [[a] * n for a in range(n)]
     return build_semigroup(table, label="leftzero:%d" % n)
 
 
 def maxchain(n: int) -> FiniteSemigroup:
     """The chain 0 < 1 < ... < n-1 under max: a commutative idempotent monoid."""
-    if n < 1:
-        raise ValidationError("max-chain monoid needs n >= 1, got %d" % n)
-    _check_order(n)
+    _check_size(n, "max-chain monoid needs n >= 1, got %r")
     table = [[max(a, b) for b in range(n)] for a in range(n)]
     return build_semigroup(table, label="maxchain:%d" % n)

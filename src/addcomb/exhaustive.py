@@ -34,9 +34,9 @@ sweep that finds a violation is run again unreduced, so that the witness
 list is exact.
 
 This module is the package's lazy export of sweep and its value types, so
-it loads on the first sweep, with catalog.  Its value types are core._Record
-classes, as the single-call results are, so a sweep loads neither
-dataclasses (no module of the package imports it) nor theorems.  It is not
+it loads on the first sweep, with catalog.  A sweep command loads addcomb,
+cli, core, errors, catalog and this module: neither setops nor theorems,
+nor dataclasses, since its value types are core._Record classes.  It is not
 named sweep, so that no import order can set the package attribute sweep to
 it.  _evaluate imports multiprocessing for its first pool, so a jobs=1 sweep
 never loads it.

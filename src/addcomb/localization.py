@@ -16,9 +16,8 @@ tests use as a cross-oracle.
 from __future__ import annotations
 
 from .catalog import _omega_value
-from .core import ElementSet, FiniteSemigroup, _Record, _set, iter_bits
+from .core import ElementSet, FiniteSemigroup, _commutes, _Record, _set, iter_bits
 from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
-from .setops import _commutes
 
 HALL_EXHAUSTIVE_LIMIT = 20
 

@@ -2,14 +2,13 @@
 
 Sumsets, iterated sumsets, the two difference sets, and the three-way span
 equivalence check.  Everything here is a pure function of immutable inputs,
-so parallel mapping over pair enumerations is safe.
+so parallel mapping over pair enumerations is safe.  A sweep loads none of
+it: the span test that the catalog reads is core._commutes.
 """
 
 from __future__ import annotations
 
-from operator import and_
-
-from .core import ElementSet, FiniteSemigroup, _reduce, _set, generated_subsemigroup, iter_bits
+from .core import ElementSet, FiniteSemigroup, _commutes, _set, generated_subsemigroup, iter_bits
 from .errors import ValidationError
 
 
@@ -125,9 +124,3 @@ def span_is_commutative(A: FiniteSemigroup, Y: ElementSet) -> bool:
     """
     A.check_set(Y)
     return _commutes(A, Y.mask)
-
-
-def _commutes(A: FiniteSemigroup, S, reduce=_reduce):
-    """Whether the elements of S commute pairwise: whether S lies in the
-    AND over z0 in S of A._commute_w[z0], the elements commuting with z0."""
-    return A.is_commutative or reduce(A._commute_w, None, and_, S)

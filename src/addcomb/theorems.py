@@ -9,7 +9,8 @@ would falsify a published theorem and is treated as an implementation bug by
 every caller.
 
 Each statement is one entry of CATALOG (its hypotheses and bounds u, v),
-defined in catalog and re-exported here with the catalog's other names.
+defined in catalog with the set constants that the bounds read; this
+module imports the names it uses from there and re-exports none.
 _evaluate is the one scalar evaluator: it reads one or more entries on one
 pair, for run_statement and every verify_* function, returns a BoundReport
 (a core._Record) for each, and is the one place that checks the DOMINANCE
@@ -19,11 +20,10 @@ its columns.
 
 from __future__ import annotations
 
-from .catalog import (  # noqa: F401 (the catalog's names, re-exported)
-    _BOUNDS, _TESTS, CATALOG, DOMINANCE, HYPOTHESES, HYPOTHESIS_FAILURE_TEXT, STATEMENTS,
-    _check_carrier, _Statement, normalize_statement,
+from .catalog import (
+    _BOUNDS, _TESTS, CATALOG, DOMINANCE, HYPOTHESES, STATEMENTS, _check_carrier, _cyclic_cached,
+    _Statement, normalize_statement,
 )
-from .constants import _cyclic_cached
 from .core import (
     ElementSet, FiniteSemigroup, _Record, _reduce, cyclic, dihedral, extended, maxchain,
     product, quaternion8,

@@ -20,9 +20,9 @@ false.
 
 from __future__ import annotations
 
-from .core import ElementSet, FiniteSemigroup, _bit, _Record, _set, iter_bits
+from .core import ElementSet, FiniteSemigroup, _bit, _commutes, _Record, _set, iter_bits
 from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital
-from .setops import _commutes, _difference_mask, _n_fold_mask, _sumset_mask
+from .setops import _difference_mask, _n_fold_mask, _sumset_mask
 
 
 class TransformResult(_Record):

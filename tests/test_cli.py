@@ -698,7 +698,7 @@ def test_package_sweep_is_the_function_in_every_import_order(first):
 UNUSED_AT_SETUP = [
     "addcomb.exhaustive",
     "addcomb.theorems",
-    "addcomb.constants",
+    "addcomb.catalog",
     "addcomb.setops",
     "addcomb.localization",
     "addcomb.transform",
@@ -748,7 +748,7 @@ UNUSED_BY_SWEEP = [
     "dataclasses",
     "inspect",
     "addcomb.theorems",
-    "addcomb.constants",
+    "addcomb.setops",
     "addcomb.localization",
     "addcomb.transform",
 ]
@@ -768,6 +768,21 @@ def test_sweep_command_loads_the_catalog_but_no_single_call_module(jobs):
     argv = ["sweep", "--semigroup", "cyclic:13", "--statement", "cd", "--jobs", str(jobs)]
     code = LOADED_BY_COMMAND % (["addcomb.catalog"] + UNUSED_BY_SWEEP)
     assert _fresh(code, *argv) == [0, "addcomb.catalog"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_command_loads_exactly_six_modules_of_the_package(jobs):
+    argv = ["sweep", "--semigroup", "cyclic:13", "--statement", "cd", "--jobs", str(jobs)]
+    code = """if True:
+        import json, sys
+        from addcomb.cli import main
+        code = main(sys.argv[1:])
+        print(json.dumps([code] + sorted(m for m in sys.modules if m.startswith("addcomb"))))
+    """
+    assert _fresh(code, *argv) == [
+        0, "addcomb", "addcomb.catalog", "addcomb.cli", "addcomb.core", "addcomb.errors",
+        "addcomb.exhaustive",
+    ]
 
 
 def test_verify_command_loads_theorems():
@@ -820,6 +835,17 @@ def test_every_public_name_is_the_object_of_its_submodule():
         print(json.dumps([len(values), bad]))
     """
     assert _fresh(code) == [len(ac.__all__), []]
+
+
+def test_every_exported_function_and_class_is_listed_under_its_own_module():
+    # _EXPORTS names the module that defines each name, not one that
+    # imports it from there
+    wrong = {}
+    for name, module in ac._OWNER.items():
+        value = getattr(ac, name)
+        if callable(value) and value.__module__ != "addcomb." + module:
+            wrong[name] = (module, value.__module__)
+    assert wrong == {}
 
 
 def test_star_import_dir_and_unknown_names():

@@ -165,6 +165,16 @@ def test_refusals_raise_their_error(call, outcome):
             call()
 
 
+@pytest.mark.parametrize("size", [True, 2.0, 2.5, "3", None, 0])
+@pytest.mark.parametrize("construction", ["cyclic", "dihedral", "maxchain", "leftzero"])
+def test_constructions_refuse_a_bad_size_as_validation_error(construction, size):
+    # a bool, a non-int or a value below 1, named by its repr; an int reads
+    # as it did under %d
+    with pytest.raises(ac.ValidationError) as exc:
+        getattr(ac, construction)(size)
+    assert str(exc.value).endswith(" >= 1, got %r" % (size,))
+
+
 # ---------------------------------------------------------------------------
 # Table validation
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import addcomb as ac
 import addcomb.exhaustive as sweep_mod
-from addcomb.constants import _omega_value
+from addcomb.catalog import _omega_value
 from addcomb.core import INF
 from addcomb.theorems import is_standard_cyclic, statement_info
 from support import (

@@ -15,9 +15,8 @@ import addcomb as ac
 import addcomb.catalog as catalog
 import addcomb.exhaustive as sweep_mod
 from addcomb import cli
-from addcomb.constants import _delta_value, _omega_value, _pillai_value
-from addcomb.core import INF
-from addcomb.setops import _commutes
+from addcomb.catalog import _delta_value, _omega_value, _pillai_value
+from addcomb.core import INF, _commutes
 from support import (
     commutative_span_masks,
     set_fact_columns,
