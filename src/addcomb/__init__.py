@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     "errors": (
         "AddcombError", "BadZ", "CandidateInvalid", "CarrierTooLarge", "EmptySet",
-        "EmptyTransform", "IndexOutOfRange", "NoWitness", "NonAssociative",
-        "NotGroup", "NotUnital", "ParseError", "PreconditionFailed",
-        "TheoremViolated", "UnknownSpec", "ValidationError",
+        "EmptyTransform", "IndexOutOfRange", "NonAssociative", "NotGroup", "NotUnital",
+        "ParseError", "PreconditionFailed", "TheoremViolated", "UnknownSpec", "ValidationError",
     ),
     "exhaustive": ("SweepSummary", "TightPair", "Violation", "sweep"),
     "localization": (

@@ -536,10 +536,15 @@ class FiniteSemigroup:
         return "<FiniteSemigroup %s (order %d)>" % (self.label, self.n)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: what a count or size must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_size(value, text: str, per: int = 1) -> None:
     """Before any table is built, refuse a size that is a bool, a non-int or
     below 1 (text names it by repr), or a carrier of per * value elements."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValidationError(text % (value,))
     _check_order(per * value)
 
@@ -606,18 +611,24 @@ def element_order(A: FiniteSemigroup, z: int) -> ExtendedNat:
     return extended(A._orders[z])
 
 
+def _sumset_mask(A: FiniteSemigroup, xmask: int, ymask: int) -> int:
+    """X + Y of two masks: the OR of the rows of _bit_table."""
+    bit_table = A._bit_table
+    ys = iter_bits(ymask)
+    out = 0
+    for x in iter_bits(xmask):
+        row = bit_table[x]
+        for y in ys:
+            out |= row[y]
+    return out
+
+
 def generated_subsemigroup(A: FiniteSemigroup, Z: ElementSet) -> ElementSet:
     """Closure of Z under the operation: the union of all k-fold sums of Z."""
     A.check_set(Z)
-    bit_table = A._bit_table
-    zs = Z.elements()
     span = Z.mask
     while True:
-        grown = span
-        for a in iter_bits(span):
-            row = bit_table[a]
-            for z in zs:
-                grown |= row[z]
+        grown = span | _sumset_mask(A, span, Z.mask)
         if grown == span:
             return _set(A.n, span)
         span = grown

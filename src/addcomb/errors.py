@@ -87,7 +87,3 @@ class BadZ(PreconditionFailed):
 
 class TheoremViolated(AddcombError):
     """A guard that holds by a published theorem came back false: a bug."""
-
-
-class NoWitness(AddcombError):
-    """Internal assertion: a witness guaranteed by theory was not found."""

@@ -62,7 +62,7 @@ from itertools import chain, compress
 from operator import and_, or_
 
 from .catalog import _BOUNDS, _TESTS, CATALOG, HYPOTHESES, _check_carrier, normalize_statement
-from .core import INF, ElementSet, FiniteSemigroup, _Record, iter_bits
+from .core import INF, ElementSet, FiniteSemigroup, _is_int, _Record, iter_bits
 from .errors import CarrierTooLarge
 
 CHUNK = 512
@@ -438,8 +438,10 @@ def sweep(
     started = time.monotonic()
     statement = normalize_statement(statement)
     _check_carrier(A, (statement,))
-    if max_size is not None and max_size < 1:
+    if max_size is not None and (not _is_int(max_size) or max_size < 1):
         raise ValueError("max_size must be >= 1")
+    if not _is_int(jobs):
+        raise ValueError("jobs must be an int, got %r" % (jobs,))
     n_masks = sum(math.comb(A.n, k) for k in range(1, min(max_size or A.n, A.n) + 1))
     if n_masks >= 1 << VECTOR_LIMIT:
         raise CarrierTooLarge(

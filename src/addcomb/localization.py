@@ -8,9 +8,9 @@ from Z, exhibiting k + l - 1 distinct elements of X + Y.
 
 The representatives are chosen by augmenting-path bipartite matching with a
 fixed exploration order (ascending row, then ascending element), so results
-are reproducible.  `hall_check` provides the independent decision procedure
-- exhaustive over all row subsets for k <= 20, matching-based above - that
-tests use as a cross-oracle.
+are reproducible.  `hall_check` decides Hall's condition for any family with
+the same matching: the rows that the first failed augmenting search reaches
+are its witness.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from .catalog import _omega_value
 from .core import ElementSet, FiniteSemigroup, _commutes, _Record, _set, iter_bits
 from .errors import BadZ, EmptySet, PreconditionFailed, TheoremViolated
-
-HALL_EXHAUSTIVE_LIMIT = 20
 
 
 class SumMatrix(_Record):
@@ -137,7 +135,7 @@ def localize(
     if zmask.bit_count() != len(ys) - 1:
         raise BadZ("|Z| = %d, expected l-1 = %d" % (zmask.bit_count(), len(ys) - 1))
 
-    matched = _max_matching([s & ~zmask for s in row_sums], n)
+    matched, _ = _max_matching([s & ~zmask for s in row_sums], n)
     if None in matched:
         raise TheoremViolated(
             "no system of distinct representatives despite hypotheses holding; "
@@ -154,14 +152,16 @@ def localize(
     return LocalizationResult(Z, tuple(matched))
 
 
-def _max_matching(rows: list[int], n: int) -> list[int | None]:
+def _max_matching(rows: list[int], n: int) -> tuple[list[int | None], list[int] | None]:
     """Augmenting-path matching of rows to elements (bit masks).
 
     Deterministic: rows are processed in index order and candidate elements
     in ascending order, so the same input always yields the same matching.
     A row whose least element is free takes it, as the search would first.
     It stops at the first row that no augmenting path reaches, which stays
-    None with every row after it.
+    None with every row after it.  Returns (matched, reached): reached is
+    None if every row is matched, else that row and the owners of the
+    elements its failed search saw, ascending; those elements are their union.
     """
     owner: list[int | None] = [None] * n
     matched: list[int | None] = [None] * len(rows)
@@ -169,9 +169,9 @@ def _max_matching(rows: list[int], n: int) -> list[int | None]:
         e = (row & -row).bit_length() - 1
         if row and owner[e] is None:
             owner[e], matched[i] = i, e
-        elif not _augment(i, rows, owner, matched, [False] * n):
-            break
-    return matched
+        elif not _augment(i, rows, owner, matched, seen := [False] * n):
+            return matched, sorted([i, *(owner[e] for e in range(n) if seen[e])])
+    return matched, None
 
 
 def _augment(i: int, rows, owner, matched, seen: list[bool]) -> bool:
@@ -190,41 +190,18 @@ def _augment(i: int, rows, owner, matched, seen: list[bool]) -> bool:
 def hall_check(sets: list[ElementSet]) -> tuple[bool, tuple[int, ...] | None]:
     """Does the family admit a system of distinct representatives?
 
-    Returns (True, None) or (False, witness) where the witness is a tuple of
-    row indices whose union is smaller than the number of rows.  Families of
-    up to 20 rows are decided by checking all row subsets (first violating
-    subset in ascending bit-pattern order is the witness); larger families
-    by maximum matching (witness reconstructed from the failed augmenting
-    search).  The two procedures agree.
+    Returns (True, None) or (False, witness) where the witness is the first
+    tuple of row indices, in ascending bit-pattern order, whose union is
+    smaller than the number of rows.  It is the set R of rows reached by the
+    first failed augmenting search, from row i: rows below i are matched, so
+    a violating set has a largest row >= i; one whose largest row is i holds
+    every alternating path from i, so contains R, and R itself violates.
     """
-    k = len(sets)
-    if k == 0:
+    if not sets:
         return (True, None)
     n = sets[0].n
     for s in sets:
         if s.n != n:
             raise ValueError("all sets must live in the same carrier")
-    masks = [s.mask for s in sets]
-
-    if k <= HALL_EXHAUSTIVE_LIMIT:
-        union = [0] * (1 << k)
-        for sub in range(1, 1 << k):
-            low = sub & -sub
-            u = union[sub ^ low] | masks[low.bit_length() - 1]
-            union[sub] = u
-            if u.bit_count() < sub.bit_count():
-                return (False, tuple(iter_bits(sub)))
-        return (True, None)
-
-    matched = _max_matching(masks, n)
-    if None not in matched:
-        return (True, None)
-    # the failed search from the first unmatched row visited every row that
-    # an alternating path reaches, and their union is too small
-    owner = {e: i for i, e in enumerate(matched) if e is not None}
-    reached = [matched.index(None)]
-    for i in reached:
-        for e in iter_bits(masks[i]):
-            if owner[e] not in reached:
-                reached.append(owner[e])
-    return (False, tuple(sorted(reached)))
+    _, reached = _max_matching([s.mask for s in sets], n)
+    return (True, None) if reached is None else (False, tuple(reached))

@@ -2,25 +2,18 @@
 
 Sumsets, iterated sumsets, the two difference sets, and the three-way span
 equivalence check.  Everything here is a pure function of immutable inputs,
-so parallel mapping over pair enumerations is safe.  A sweep loads none of
-it: the span test that the catalog reads is core._commutes.
+so parallel mapping over pair enumerations is safe.  A sweep or a verify
+loads none of it: the span test that the catalog reads is core._commutes,
+and X + Y of two masks is core._sumset_mask.
 """
 
 from __future__ import annotations
 
-from .core import ElementSet, FiniteSemigroup, _commutes, _set, generated_subsemigroup, iter_bits
+from .core import (
+    ElementSet, FiniteSemigroup, _commutes, _is_int, _set, _sumset_mask, generated_subsemigroup,
+    iter_bits,
+)
 from .errors import ValidationError
-
-
-def _sumset_mask(A: FiniteSemigroup, xmask: int, ymask: int) -> int:
-    bit_table = A._bit_table
-    ys = iter_bits(ymask)
-    out = 0
-    for x in iter_bits(xmask):
-        row = bit_table[x]
-        for y in ys:
-            out |= row[y]
-    return out
 
 
 def sumset(A: FiniteSemigroup, X: ElementSet, Y: ElementSet) -> ElementSet:
@@ -38,14 +31,14 @@ def n_fold(A: FiniteSemigroup, Z: ElementSet, k: int) -> ElementSet:
     cycle, and a large k costs no more than the sums before the recurrence.
     """
     A.check_set(Z)
-    if k < 1:
-        raise ValidationError("n_fold needs k >= 1, got %d" % k)
+    if not _is_int(k) or k < 1:
+        raise ValidationError("n_fold needs k >= 1, got %r" % (k,))
     return _set(A.n, _n_fold_mask(A, Z.mask, k))
 
 
 def _n_fold_mask(A: FiniteSemigroup, zmask: int, k: int) -> int:
     sums, seen = [zmask], {zmask: 0}  # sums[j] = (j + 1)Z
-    for _ in range(k - 1):  # range() refuses a non-integer k
+    for _ in range(k - 1):
         acc = _sumset_mask(A, sums[-1], zmask)
         if acc in seen:  # (j + 1)Z for j >= start repeats with period len(sums) - start
             start = seen[acc]

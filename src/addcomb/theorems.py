@@ -25,11 +25,10 @@ from .catalog import (
     _Statement, normalize_statement,
 )
 from .core import (
-    ElementSet, FiniteSemigroup, _Record, _reduce, cyclic, dihedral, extended, maxchain,
-    product, quaternion8,
+    ElementSet, FiniteSemigroup, _Record, _reduce, _sumset_mask, cyclic, dihedral, extended,
+    maxchain, product, quaternion8,
 )
 from .errors import EmptySet, TheoremViolated
-from .setops import _sumset_mask
 
 
 class BoundReport(_Record):

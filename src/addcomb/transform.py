@@ -20,9 +20,11 @@ false.
 
 from __future__ import annotations
 
-from .core import ElementSet, FiniteSemigroup, _bit, _commutes, _Record, _set, iter_bits
+from .core import (
+    ElementSet, FiniteSemigroup, _bit, _commutes, _is_int, _Record, _set, _sumset_mask, iter_bits,
+)
 from .errors import CandidateInvalid, EmptySet, EmptyTransform, NotUnital
-from .setops import _difference_mask, _n_fold_mask, _sumset_mask
+from .setops import _difference_mask, _n_fold_mask
 
 
 class TransformResult(_Record):
@@ -65,8 +67,8 @@ def _shifts(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, m: int):
         raise NotUnital("the transform needs an identity; pass the unitization")
     if X.mask == 0 or Y.mask == 0:
         raise EmptySet("transform needs non-empty X and Y")
-    if m < 1:
-        raise ValueError("exponent m must be >= 1, got %d" % m)
+    if not _is_int(m) or m < 1:
+        raise ValueError("exponent m must be >= 1, got %r" % (m,))
     shifts = 1 << A.identity if m == 1 else _n_fold_mask(A, X.mask, m - 1)
     return shifts, _sumset_mask(A, X.mask, Y.mask)
 

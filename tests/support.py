@@ -180,6 +180,18 @@ def hall_oracle_batched(row_lists: list[list[int]]) -> np.ndarray:
     return ((pc_union >= pc_sub[None, :]).all(axis=1))
 
 
+def hall_oracle(rows) -> tuple | None:
+    """The first subset of the rows (iterables of elements), in ascending
+    bit-pattern order of row indices, whose union as plain sets is smaller
+    than the subset, as a tuple of row indices; None if there is none."""
+    rows = [set(row) for row in rows]
+    for sub in range(1, 1 << len(rows)):
+        picked = tuple(i for i in range(len(rows)) if sub >> i & 1)
+        if len(set().union(*(rows[i] for i in picked))) < len(picked):
+            return picked
+    return None
+
+
 def matching_oracle(rows, n: int) -> list:
     """Augmenting-path matching of rows (bit masks over [0, n)), written
     with plain sets: row i, in order, tries its elements in ascending order

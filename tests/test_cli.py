@@ -786,7 +786,8 @@ def test_sweep_command_loads_exactly_six_modules_of_the_package(jobs):
 
 
 def test_verify_command_loads_theorems():
-    code = LOADED_BY_COMMAND % ["addcomb.catalog", "addcomb.theorems"]
+    # X + Y of two masks is core's, so verify loads no setops
+    code = LOADED_BY_COMMAND % ["addcomb.catalog", "addcomb.theorems", "addcomb.setops"]
     assert _fresh(code, *NON_SWEEP_COMMANDS[2]) == [0, "addcomb.catalog", "addcomb.theorems"]
 
 

@@ -175,6 +175,46 @@ def test_constructions_refuse_a_bad_size_as_validation_error(construction, size)
     assert str(exc.value).endswith(" >= 1, got %r" % (size,))
 
 
+_COUNT_CALLS = {
+    "n_fold-k": (
+        lambda v: ac.n_fold(ac.cyclic(5), ac.ElementSet.of(5, 0, 1), v),
+        ac.ValidationError, "n_fold needs k >= 1, got %r",
+    ),
+    "transform_candidates-m": (
+        lambda v: ac.transform_candidates(
+            ac.cyclic(5), ac.ElementSet.of(5, 0), ac.ElementSet.of(5, 0, 1), v
+        ),
+        ValueError, "exponent m must be >= 1, got %r",
+    ),
+    "sweep-max_size": (
+        lambda v: ac.sweep(ac.cyclic(5), "cd", max_size=v), ValueError, "max_size must be >= 1",
+    ),
+    "sweep-jobs": (
+        lambda v: ac.sweep(ac.cyclic(5), "cd", jobs=v), ValueError, "jobs must be an int, got %r",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _COUNT_CALLS)
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
+def test_counts_refuse_a_bool_or_a_non_int(name, value):
+    # each keeps the class and text of its refusal of an int below 1, with
+    # the value named by its repr; None is max_size's default, no cap
+    call, error, text = _COUNT_CALLS[name]
+    if value is None and name == "sweep-max_size":
+        assert call(value) == ac.sweep(ac.cyclic(5), "cd")
+        return
+    with pytest.raises(error) as exc:
+        call(value)
+    assert str(exc.value) == (text % (value,) if "%r" in text else text)
+
+
+def test_sweep_runs_an_int_jobs_of_at_most_one_serially():
+    serial = ac.sweep(ac.cyclic(5), "cd")
+    assert ac.sweep(ac.cyclic(5), "cd", jobs=0) == serial
+    assert ac.sweep(ac.cyclic(5), "cd", jobs=-3) == serial
+
+
 # ---------------------------------------------------------------------------
 # Table validation
 # ---------------------------------------------------------------------------

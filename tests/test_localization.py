@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import addcomb as ac
 import addcomb.localization  # noqa: F401
 import sys
-from support import matching_oracle
+from support import hall_oracle, matching_oracle
 
 loc_mod = sys.modules["addcomb.localization"]
 
@@ -168,25 +168,47 @@ def test_hall_check_witness_is_violating():
         assert len(union) < len(witness)
 
 
-def test_hall_check_matching_path_agrees(monkeypatch):
+def _hall_expected(sets):
+    witness = hall_oracle(sets)
+    return (True, None) if witness is None else (False, witness)
+
+
+def test_hall_check_equals_the_plain_set_oracle_on_every_three_row_family():
     import itertools
 
-    # force the matching-based branch on small families and compare verdicts
-    cases = []
+    # all 512 families of three rows over 3 elements: verdict and witness
+    violating = 0
     for masks in itertools.product(range(8), repeat=3):
-        cases.append([ac.ElementSet(3, m) for m in masks])
-    verdicts_exhaustive = [ac.hall_check(sets)[0] for sets in cases]
-    monkeypatch.setattr(loc_mod, "HALL_EXHAUSTIVE_LIMIT", 0)
-    verdicts_matching = [ac.hall_check(sets)[0] for sets in cases]
-    assert verdicts_exhaustive == verdicts_matching
-    # witnesses from the matching branch must also violate Hall
-    for sets, ok in zip(cases, verdicts_matching):
-        if not ok:
-            _, witness = ac.hall_check(sets)
-            union = set()
-            for i in witness:
-                union |= set(sets[i])
-            assert len(union) < len(witness)
+        sets = [ac.ElementSet(3, m) for m in masks]
+        verdict = ac.hall_check(sets)
+        assert verdict == _hall_expected(sets)
+        violating += not verdict[0]
+    assert 0 < violating < 512
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=12).map(
+        lambda rows: [ac.ElementSet.from_elements(n, row) for row in rows]
+    )
+))
+def test_hall_check_equals_the_plain_set_oracle(sets):
+    assert ac.hall_check(sets) == _hall_expected(sets)
+
+
+def test_hall_check_of_twenty_rows_builds_no_subset_table():
+    import tracemalloc
+
+    hall_check = ac.hall_check
+    rows = [_s(32, i) for i in range(21)]
+    tracemalloc.start()
+    try:
+        verdict = hall_check(rows[:20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert verdict[0] == hall_check(rows)[0]
 
 
 def test_hall_check_large_family_uses_matching():
@@ -209,11 +231,12 @@ def test_hall_check_rejects_mixed_carriers():
 
 def test_max_matching_takes_a_free_least_element_and_reroutes_a_taken_one():
     # row 1's least element 0 is row 0's, which moves to 1; row 2 then has
-    # no augmenting path, so it and row 3 stay unmatched
+    # no augmenting path, so it and row 3 stay unmatched; the failed search
+    # reached rows 0, 1 and 2, whose union {0, 1} is one element short
     rows = [0b011, 0b001, 0b011, 0b100]
-    assert loc_mod._max_matching(rows, 3) == [1, 0, None, None]
+    assert loc_mod._max_matching(rows, 3) == ([1, 0, None, None], [0, 1, 2])
     assert matching_oracle(rows, 3) == [1, 0, None, None]
-    assert loc_mod._max_matching([0b001, 0b010, 0b110], 3) == [0, 1, 2]
+    assert loc_mod._max_matching([0b001, 0b010, 0b110], 3) == ([0, 1, 2], None)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -228,7 +251,16 @@ def test_max_matching_takes_a_free_least_element_and_reroutes_a_taken_one():
 def test_max_matching_equals_the_augmenting_path_oracle(case):
     n, row_sets = case
     rows = [sum(1 << e for e in row) for row in row_sets]
-    assert loc_mod._max_matching(rows, n) == matching_oracle(rows, n)
+    matched, reached = loc_mod._max_matching(rows, n)
+    assert matched == matching_oracle(rows, n)
+    if None in matched:
+        union = 0
+        for i in reached:
+            union |= rows[i]
+        assert union.bit_count() == len(reached) - 1
+        assert reached == sorted(set(reached)) and reached[-1] == matched.index(None)
+    else:
+        assert reached is None
 
 
 def test_witness_set_equals_z_with_the_checked_representatives():

@@ -90,7 +90,7 @@ def _carrier_outcomes(A, rng: random.Random, pairs: int):
     yield _outcome(ac.run_statement, A, "Chowla", foreign, A.full_set())
     yield _outcome(ac.localize, A, A.full_set(), foreign)
     yield _outcome(ac.transform_candidates, A, (1,), A.full_set())
-    for k in (21, 22, 23):  # above the exhaustive limit: decided by matching
+    for k in (21, 22, 23):  # families of many rows
         yield _outcome(ac.hall_check, [_random_set(rng, n) for _ in range(k)])
     for _ in range(pairs):
         X, Y = _random_set(rng, n), _random_set(rng, n)

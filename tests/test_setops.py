@@ -88,8 +88,8 @@ def test_n_fold_non_commutative_and_errors():
     assert ac.n_fold(d3, X, 3) == ac.sumset(d3, ac.sumset(d3, X, X), X)
     with pytest.raises(ac.ValidationError):
         ac.n_fold(d3, X, 0)
-    for k in (2.5, 5.0):
-        with pytest.raises(TypeError):
+    for k in (2.5, 5.0):  # refused as a non-int k, like k = 0
+        with pytest.raises(ac.ValidationError):
             ac.n_fold(d3, X, k)
 
 

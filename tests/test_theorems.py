@@ -286,12 +286,12 @@ def test_theorem_guards_raise_theorem_violated(monkeypatch):
             ac.verify_hk(ac.cyclic(5), _s(5, 0, 1), _s(5, 0, 1))
     with monkeypatch.context() as m:
         # localization always finds a system of distinct representatives
-        m.setattr(loc, "_max_matching", lambda rows, n: [None] * len(rows))
+        m.setattr(loc, "_max_matching", lambda rows, n: ([None] * len(rows), [0]))
         with pytest.raises(ac.TheoremViolated):
             ac.localize(ac.cyclic(7), _s(7, 0, 1), _s(7, 0, 1, 2))
     with monkeypatch.context() as m:
         # ... and its k + l - 1 elements are distinct
-        m.setattr(loc, "_max_matching", lambda rows, n: [0] * len(rows))
+        m.setattr(loc, "_max_matching", lambda rows, n: ([0] * len(rows), None))
         with pytest.raises(ac.TheoremViolated):
             ac.localize(ac.cyclic(7), _s(7, 0, 1), _s(7, 0, 1, 2))
 
