@@ -27,8 +27,8 @@ from math import gcd, isqrt
 from operator import itemgetter
 
 from .core import (
-    INF, ElementSet, ExtendedNat, FiniteSemigroup, _commutes, _Record, _reduce, cyclic, extended,
-    iter_bits,
+    INF, ElementSet, ExtendedNat, FiniteSemigroup, _commutes, _is_int, _Record, _reduce, cyclic,
+    extended, iter_bits,
 )
 from .errors import EmptySet, NotGroup, ParseError, PreconditionFailed
 
@@ -130,7 +130,7 @@ def omega_gcd_crosscheck(m: int, Z: ElementSet) -> tuple[ExtendedNat, ExtendedNa
 
 
 def _check_residues(m: int, Z: ElementSet, name: str):
-    if m < 1:
+    if not _is_int(m) or m < 1:
         raise PreconditionFailed(("positive_modulus",), "modulus must be >= 1")
     if Z.n != m:
         raise ValueError("set over carrier [0, %d) used with modulus %d" % (Z.n, m))

@@ -13,8 +13,9 @@ defined in catalog with the set constants that the bounds read; this
 module imports the names it uses from there and re-exports none.
 _evaluate is the one scalar evaluator: it reads one or more entries on one
 pair, for run_statement and every verify_* function, returns a BoundReport
-(a core._Record) for each, and is the one place that checks the DOMINANCE
-pairs between the entries it read.  The sweep reads the same entries on
+(a core._Record) for each (None for a partner read only for DOMINANCE that
+does not apply), and is the one place that checks the DOMINANCE pairs
+between the entries it read.  The sweep reads the same entries on
 its columns.
 """
 
@@ -41,10 +42,13 @@ class BoundReport(_Record):
         return tuple(name for name, holds in self.hypotheses if not holds)
 
 
-def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str):
-    """The reports of the catalog statements on (X, Y), in order; the
-    carrier and the sets are checked, and |X + Y| computed, once.  Raises
-    TheoremViolated when two statements that apply break a DOMINANCE pair."""
+def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str, partners=()):
+    """The reports of the catalog statements on (X, Y), in order, then the
+    report of each of the partners if it applies, else None (its right side,
+    which only DOMINANCE reads then, is not computed); the carrier and the
+    sets are checked, and |X + Y| computed, once.  Raises TheoremViolated
+    when two statements that apply break a DOMINANCE pair."""
+    statements += partners
     _check_carrier(A, statements, X, Y)
     x, y = X.mask, Y.mask
     if x == 0 or y == 0:
@@ -70,6 +74,9 @@ def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str
                 holds = test(A, size)
             hyps.append((name, holds))
             applicable = applicable and holds
+        if statement in partners and not applicable:
+            reports.append(None)
+            continue
         rhs = min(max(_BOUNDS[entry.u](A, x, _reduce), _BOUNDS[entry.v](A, y, _reduce)), size)
         if applicable:
             rhs_of[statement] = rhs
@@ -139,8 +146,7 @@ def verify_hk(
 ) -> tuple[BoundReport, BoundReport | None]:
     """group bound min(p_constant, |X|+|Y|-1), plus the sharper omega-based
     report side by side when span(Y) is commutative."""
-    hk, main = _evaluate(A, X, Y, "HK", "Thm2.2")
-    return (hk, main if main.applicable else None)
+    return tuple(_evaluate(A, X, Y, "HK", partners=("Thm2.2",)))
 
 
 def statement_info(statement: str) -> _Statement:
@@ -155,7 +161,7 @@ def run_statement(
     statement is evaluated with its _PARTNERS, so that each DOMINANCE pair
     that lists it is checked whenever both statements apply."""
     statement = normalize_statement(statement)
-    return _evaluate(A, X, Y, statement, *_PARTNERS[statement])[0]
+    return _evaluate(A, X, Y, statement, partners=_PARTNERS[statement])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def apply_transform(
     """
     shifts, xy = _shifts(A, X, Y, m)
     # z outside X + Y is a candidate exactly when the search finds a witness
-    if isinstance(z, int) and 0 <= z < A.n and not xy >> z & 1:
+    if _is_int(z) and 0 <= z < A.n and not xy >> z & 1:
         ys = iter_bits(Y.mask)
         preimage = A._preimage
         for x in iter_bits(shifts):
@@ -94,7 +94,7 @@ def apply_transform(
             if tilde:
                 y_z = (tilde & -tilde).bit_length() - 1
                 return TransformResult(m, z, x, y_z, _set(A.n, tilde), _set(A.n, Y.mask & ~tilde))
-    raise CandidateInvalid("z = %d is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
+    raise CandidateInvalid("z = %r is not in (mX+2Y) minus (X+Y) for m = %d" % (z, m))
 
 
 def audit_transform(

@@ -10,8 +10,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from addcomb import ElementSet, FiniteSemigroup
 
 
@@ -154,30 +152,6 @@ def commutative_span_masks(A: FiniteSemigroup) -> list[int]:
         if all(A.table[a][b] == A.table[b][a] for a in cl for b in cl):
             out.append(mask)
     return out
-
-
-def hall_oracle_batched(row_lists: list[list[int]]) -> np.ndarray:
-    """Exhaustive Hall condition for many row families at once.
-
-    Every family in one call must have the same number of rows k; each row
-    is an element bit mask.  Returns a boolean verdict per family: True iff
-    every subset of rows has a union at least as large as the subset.
-    """
-    if not row_lists:
-        return np.zeros(0, dtype=bool)
-    k = len(row_lists[0])
-    assert all(len(rows) == k for rows in row_lists)
-    rows = np.asarray(row_lists, dtype=np.int64)  # (B, k)
-    B = rows.shape[0]
-    unions = np.zeros((B, 1 << k), dtype=np.int64)
-    for j in range(k):
-        unions.reshape(B, -1, 2 << j)[:, :, (1 << j):] |= rows[:, j : j + 1, None]
-    pc_sub = np.array([s.bit_count() for s in range(1 << k)], dtype=np.int64)
-    max_bits = int(rows.max()).bit_length() if B else 0
-    pc_union = np.zeros_like(unions)
-    for b in range(max_bits):
-        pc_union += (unions >> b) & 1
-    return ((pc_union >= pc_sub[None, :]).all(axis=1))
 
 
 def hall_oracle(rows) -> tuple | None:

@@ -12,10 +12,8 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-
 import addcomb as ac
-from support import hall_oracle_batched
+from support import hall_oracle
 
 INF = ac.ExtendedNat(None)
 
@@ -195,72 +193,70 @@ def test_07_span_stability_formulations_agree():
 
 
 # ---------------------------------------------------------------------------
-# 8. Localization always finds k + l - 1 elements; Hall oracle concurs
+# 8. Localization always finds k + l - 1 elements, distinct representatives
 # ---------------------------------------------------------------------------
+
+# localize calls per carrier: every pair with |X+Y| < omega(Y) and span(Y)
+# commutative
+LOCALIZED = {
+    "cyclic:2": 6, "cyclic:3": 30, "cyclic:5": 480, "cyclic:7": 6426,
+    "cyclic:11": 948_893, "dihedral:4": 2136,
+}
 
 
 def _qualifying_localize_battery(A):
     """Localize every pair with |X+Y| < omega(Y) and a commutative span of Y.
 
-    Returns (count, rows_by_k) where rows_by_k maps k = |X| to the sum-matrix
-    row masks (with the fixed subset removed) of every instance, for the
-    batched Hall oracle.
+    Yields (ym, sums, result) per pair: ym is the mask of Y, sums[i] the
+    mask of x_i + Y for X in ascending order, and result is localize's.
+    Over the Y masks ym, the masks of x + Y are filled from the table by
+    f[ym] = f[ym - 2^j] | (x + j) over the highest bit j of ym, and those
+    of X + Y are their unions.
     """
     n, table = A.n, A.table
-    size = 1 << n
-    omega_arr = np.zeros(size, dtype=np.int64)
-    span_ok = np.zeros(size, dtype=bool)
+    # the |X+Y| each Y needs to qualify: omega(Y) (n + 1 for infinity, above
+    # every |X+Y|) when span(Y) is commutative, else 0; 0 for the empty Y
+    bound = [0] * (1 << n)
     for ym in _masks(n):
         Y = ac.ElementSet(n, ym)
-        w = ac.omega(A, Y).overall
-        omega_arr[ym] = w.value if w.is_finite else 1 << 30
-        span_ok[ym] = ac.span_is_commutative(A, Y)
-    M = np.array([[1 << table[x][j] for j in range(n)] for x in range(n)], dtype=np.int64)
-    pc_tab = np.array([m.bit_count() for m in range(size)], dtype=np.int64)
-    nonzero = np.arange(size) != 0
-
-    count = 0
-    rows_by_k: dict[int, list[list[int]]] = {}
-    for xm in _masks(n):
-        xs = [i for i in range(n) if xm >> i & 1]
-        r = M[xs[0]].copy()
-        for x in xs[1:]:
-            r |= M[x]
-        f = np.zeros(size, dtype=np.int64)
+        if ac.span_is_commutative(A, Y):
+            w = ac.omega(A, Y).overall
+            bound[ym] = w.value if w.is_finite else n + 1
+    plus = []  # plus[x][ym]: the mask of x + Y
+    for x in range(n):
+        f = [0]
         for j in range(n):
-            f.reshape(-1, 2 << j)[:, (1 << j) :] |= r[j]
-        qualifying = np.nonzero((pc_tab[f] < omega_arr) & span_ok & nonzero)[0]
-        X, k = ac.ElementSet(n, xm), len(xs)
-        for ym in qualifying:
-            Y = ac.ElementSet(n, int(ym))
-            result = ac.localize(A, X, Y)
-            assert len(result.witness_set()) == k + len(Y) - 1, (A.label, xm, int(ym))
-            zmask = result.Z.mask
-            ys = [j for j in range(n) if ym >> j & 1]
-            fam = []
-            for x in xs:
-                row = 0
-                trow = table[x]
-                for y in ys:
-                    row |= 1 << trow[y]
-                fam.append(row & ~zmask)
-            rows_by_k.setdefault(k, []).append(fam)
-            count += 1
-    return count, rows_by_k
+            f += [s | 1 << table[x][j] for s in f]
+        plus.append(f)
+    for xm in _masks(n):
+        xs = [x for x in range(n) if xm >> x & 1]
+        X = ac.ElementSet(n, xm)
+        f = plus[xs[0]]
+        for x in xs[1:]:
+            f = [s | t for s, t in zip(f, plus[x])]
+        for ym, s in enumerate(f):
+            if s.bit_count() < bound[ym]:
+                sums = [plus[x][ym] for x in xs]
+                yield ym, sums, ac.localize(A, X, ac.ElementSet(n, ym))
 
 
 def test_08_localization_exhaustive_with_hall_oracle():
     for A in (ac.cyclic(2), ac.cyclic(3), ac.cyclic(5), ac.cyclic(7), ac.cyclic(11), ac.dihedral(4)):
-        count, rows_by_k = _qualifying_localize_battery(A)
-        assert count >= 1, A.label
-        oracle_seen = 0
-        for k, families in rows_by_k.items():
-            step = max(1, (1 << 21) >> k)
-            for i in range(0, len(families), step):
-                verdicts = hall_oracle_batched(families[i : i + step])
-                assert verdicts.all(), (A.label, k)
-                oracle_seen += len(verdicts)
-        assert oracle_seen == count
+        count = 0
+        for ym, sums, result in _qualifying_localize_battery(A):
+            k, zmask = len(sums), result.Z.mask
+            assert len(result.witness_set()) == k + ym.bit_count() - 1, (A.label, sums)
+            # the rows (x_i + Y) - Z: reps[i] in row i, all distinct, is a
+            # system of distinct representatives
+            rows = [row & ~zmask for row in sums]
+            reps = result.representatives
+            assert all(row >> z & 1 for z, row in zip(reps, rows)), (A.label, sums)
+            assert len(set(reps)) == k, (A.label, sums)
+            if A.n <= 8:  # Hall's condition, subset by subset
+                elements = [[e for e in range(A.n) if row >> e & 1] for row in rows]
+                assert hall_oracle(elements) is None, (A.label, sums)
+            count += 1
+        assert count == LOCALIZED[A.label]
 
     # small moduli: every admissible fixed subset works, not just the default
     for p in (2, 3, 5):

@@ -136,6 +136,16 @@ def test_omega_gcd_crosscheck_pins():
     assert via_ord == via_gcd == ac.ExtendedNat(12)
 
 
+@pytest.mark.parametrize("fn", [ac.delta, ac.pillai_delta, ac.omega_gcd_crosscheck])
+@pytest.mark.parametrize("m, n", [(True, 1), (False, 1), (2.0, 2), (2.5, 2), ("2", 2), (0, 1)])
+def test_residue_constants_refuse_a_bool_or_non_int_modulus(fn, m, n):
+    # True would pass for 1 and 2.0 for 2; each is refused as m < 1 is
+    with pytest.raises(ac.PreconditionFailed) as exc:
+        fn(m, ac.ElementSet.full(n))
+    assert exc.value.failed == ("positive_modulus",)
+    assert str(exc.value) == "modulus must be >= 1"
+
+
 def test_omega_gcd_crosscheck_errors():
     with pytest.raises(ac.EmptySet):
         ac.omega_gcd_crosscheck(8, ac.ElementSet.empty(8))

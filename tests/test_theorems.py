@@ -326,3 +326,21 @@ def test_run_statement_checks_a_dominance_pair_only_where_both_apply(monkeypatch
     assert rep.applicable and rep.satisfied
     with pytest.raises(ac.TheoremViolated):
         ac.run_statement(d3, "HK", _s(6, 0, 1), _s(6, 0, 1))
+
+
+def test_hk_computes_omega_only_where_thm22_applies(monkeypatch):
+    # span({1,3}) is all of dihedral:3, so Thm2.2 does not apply and omega(Y),
+    # its right side, is not computed; span({0,1}) is cyclic, so it is
+    import addcomb.catalog as catalog
+
+    calls = []
+    real = catalog._omega_value
+    monkeypatch.setattr(catalog, "_omega_value", lambda *args: calls.append(1) or real(*args))
+    d3, X = ac.dihedral(3), _s(6, 0, 1)
+    for Y, want in ((_s(6, 1, 3), 0), (_s(6, 0, 1), 1)):
+        calls.clear()
+        hk = ac.run_statement(d3, "HK", X, Y)
+        assert len(calls) == want
+        calls.clear()
+        assert ac.verify_hk(d3, X, Y)[0] == hk
+        assert len(calls) == want

@@ -93,6 +93,17 @@ def test_apply_validates_candidate():
         ac.apply_transform(z8, X, Y, 1, 4)  # 4 is outside X+2Y
 
 
+@pytest.mark.parametrize("z", [True, 4.0, "a", None])
+def test_apply_refuses_a_bool_or_non_int_z(z):
+    # 1 and 4 are the candidates on the first pair, 4 on the second: a bool
+    # or a float of one is refused by repr, not taken or formatted as an int
+    z8 = ac.cyclic(8)
+    for X, Y in ((_s(8, 0), _s(8, 3, 6)), (_s(8, 0, 1), _s(8, 0, 1, 2))):
+        with pytest.raises(ac.CandidateInvalid) as exc:
+            ac.apply_transform(z8, X, Y, 1, z)
+        assert str(exc.value) == "z = %r is not in (mX+2Y) minus (X+Y) for m = 1" % (z,)
+
+
 def test_transform_invariants_exhaustive_small():
     # Y_tilde is exactly {y : z in x_z + X + Y + y}; y_z lies in it;
     # Y_prime is the complement; |Y_prime| < |Y| always
