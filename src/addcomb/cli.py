@@ -388,10 +388,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer of at least 1."""
-    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
-    return int(text)
+    """argparse type for counts and sizes: an integer literal of at least 1."""
+    try:
+        if (value := int_literal(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,10 +34,11 @@ them: ``extended`` reads shared ``ExtendedNat`` values and ``_set`` builds an
 ``ElementSet`` directly.  ``_Record`` is the base of every value type:
 ``ElementSet`` and ``ExtendedNat``, the catalog entries, the sweep's value
 types, the single-call results and the command line's run report.  Its
-``to_json_dict`` is the one JSON form of each: the fields that == compares,
-with sets as literals and infinity as "infinity".  ``FiniteSemigroup``
-derives its fields from its table, so it is immutable in the same way but
-pickles by its table and label.
+hook ``_as_json`` is the one JSON form of each: a set's literal such as
+"{0,3}", an extended natural's int or "infinity", and for every other
+record the dict of the fields that == compares, also its ``to_json_dict``.
+``FiniteSemigroup`` derives its fields from its table, so it is immutable
+in the same way but pickles by its table and label.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def int_literal(token: str) -> int:
     return int(token)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: what a count or size must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Record:
     """A value whose fields are its __slots__, in order, as a frozen
     dataclass's: its repr names them, == and hash read _key(), and it is
@@ -91,7 +97,9 @@ class _Record:
     takes the fields by position or keyword, and _defaults are the defaults
     of the last ones; a subclass checks its fields in __new__, since
     __init__ is compiled.  _key() is _fields(), or a subclass's slice of the
-    first fields, which leaves the last ones out of == and to_json_dict()."""
+    first fields, which leaves the last ones out of == and of _as_json(), the
+    JSON: the dict of the fields that == compares, also to_json_dict(),
+    unless a scalar type overrides it and so has no to_json_dict()."""
 
     __slots__ = ()
     _defaults = ()
@@ -109,8 +117,10 @@ class _Record:
         cls.__init__.__defaults__ = cls._defaults
         cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
         cls._key = vars(cls).get("_key", cls._fields)
+        if cls._as_json is _Record._as_json:
+            cls.to_json_dict = cls._as_json
 
-    def to_json_dict(self) -> dict:
+    def _as_json(self) -> dict:
         """The fields that == compares, by name, as JSON values."""
         return dict(zip(self.__slots__, map(_json, self._key())))
 
@@ -146,9 +156,8 @@ class ExtendedNat(_Record):
     __slots__ = ("value",)
 
     def __new__(cls, value: int | None):
-        if value is not None:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError("ExtendedNat value must be a non-negative int or None")
+        if value is not None and (not _is_int(value) or value < 0):
+            raise ValueError("ExtendedNat value must be a non-negative int or None")
         return object.__new__(cls)
 
     @property
@@ -156,25 +165,20 @@ class ExtendedNat(_Record):
         return self.value is not None
 
     def __eq__(self, other):
-        if isinstance(other, ExtendedNat):
-            return self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other  # never for infinity or a negative int
-        return NotImplemented
+        # an int equals a finite value, never infinity; other types by _Record
+        return self.value == other if _is_int(other) else _Record.__eq__(self, other)
 
     def __lt__(self, other):
         if isinstance(other, ExtendedNat):
             other = other.value
-        elif not isinstance(other, int) or isinstance(other, bool):
+        elif not _is_int(other):
             return NotImplemented
         # infinity is below nothing; every value is above a negative int
         return self.value is not None and (other is None or self.value < other)
 
     def __hash__(self):
         # finite values equal their int, so they must hash like it
-        if self.value is None:
-            return hash(("ExtendedNat", None))
-        return hash(self.value)
+        return hash(("ExtendedNat", None) if self.value is None else self.value)
 
     def _no_arithmetic(self, *_):
         raise TypeError("ExtendedNat supports ordering only, not arithmetic")
@@ -183,17 +187,18 @@ class ExtendedNat(_Record):
 
     def to_json(self):
         return "infinity" if self.value is None else self.value
+    _as_json = to_json
 
     @classmethod
     def from_json(cls, obj) -> "ExtendedNat":
-        if obj == "infinity":
+        if obj == INFINITY.to_json():
             return INFINITY
-        if isinstance(obj, int) and not isinstance(obj, bool):
+        if _is_int(obj):
             return cls(obj)
         raise ParseError("not an extended natural: %r" % (obj,))
 
     def __str__(self):
-        return "infinity" if self.value is None else str(self.value)
+        return str(self.to_json())
 
     def __repr__(self):
         return "ExtendedNat(%r)" % (self.value,)
@@ -209,14 +214,10 @@ def extended(value: int) -> ExtendedNat:
 
 
 def _json(value):
-    """value as JSON: a record as its dict, an ElementSet as its literal, an
-    ExtendedNat by to_json() and a tuple as a list; anything else as it is."""
-    if isinstance(value, ElementSet):
-        return str(value)
-    if isinstance(value, ExtendedNat):
-        return value.to_json()
+    """value as JSON: a value type by its _as_json() and a tuple as a list;
+    anything else as it is."""
     if isinstance(value, _Record):
-        return value.to_json_dict()
+        return value._as_json()
     if isinstance(value, tuple):
         return list(map(_json, value))
     return value
@@ -252,9 +253,9 @@ class ElementSet(_Record):
     _defaults = (0,)
 
     def __new__(cls, n: int, mask: int = 0):
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_CARRIER:
+        if not _is_int(n) or not 1 <= n <= MAX_CARRIER:
             raise CarrierTooLarge("carrier size %r outside [1, %d]" % (n, MAX_CARRIER))
-        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < (1 << n):
+        if not _is_int(mask) or not 0 <= mask < (1 << n):
             raise IndexOutOfRange("mask %r has bits outside [0, %d)" % (mask, n))
         return object.__new__(cls)
 
@@ -317,7 +318,7 @@ class ElementSet(_Record):
         return self.mask.bit_count()
 
     def __contains__(self, z):
-        return isinstance(z, int) and 0 <= z < self.n and (self.mask >> z) & 1 == 1
+        return _is_int(z) and 0 <= z < self.n and (self.mask >> z) & 1 == 1
 
     def _check_same_carrier(self, other):
         if not isinstance(other, ElementSet):
@@ -343,6 +344,7 @@ class ElementSet(_Record):
 
     def __str__(self):
         return "{%s}" % ",".join(str(z) for z in iter_bits(self.mask))
+    _as_json = __str__
 
     def __repr__(self):
         return "ElementSet.parse(%r, %d)" % (str(self), self.n)
@@ -350,7 +352,7 @@ class ElementSet(_Record):
 
 def _bit(z, n: int) -> int:
     """1 << z, for an element z of the carrier [0, n)."""
-    if not isinstance(z, int) or isinstance(z, bool) or not 0 <= z < n:
+    if not _is_int(z) or not 0 <= z < n:
         raise IndexOutOfRange("element %r outside carrier [0, %d)" % (z, n))
     return 1 << z
 
@@ -403,7 +405,7 @@ class FiniteSemigroup:
                     "row %d has %d entries, expected %d" % (a, len(row), n)
                 )
             for b, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                if not _is_int(v) or not 0 <= v < n:
                     raise IndexOutOfRange(
                         "table[%d][%d] = %r outside carrier [0, %d)" % (a, b, v, n)
                     )
@@ -534,11 +536,6 @@ class FiniteSemigroup:
 
     def __repr__(self):
         return "<FiniteSemigroup %s (order %d)>" % (self.label, self.n)
-
-
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool: what a count or size must be."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_size(value, text: str, per: int = 1) -> None:

@@ -121,6 +121,10 @@ def test_exit_usage_on_non_positive_counts(capsys):
         sweep + ["--jobs", "0"],
         sweep + ["--jobs", "-3"],
         sweep + ["--jobs", "two"],
+        sweep + ["--jobs", "-0"],
+        sweep + ["--jobs", "\u0662"],
+        sweep + ["--max-size", "1_0"],
+        sweep + ["--max-size", " 3"],
         ["transform", "--semigroup", "cyclic:5", "--x", "{0,1}", "--y", "{0}", "--m", "0"],
     ]
     for argv in cases:

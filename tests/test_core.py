@@ -78,6 +78,17 @@ def test_extended_nat_compares_above_every_negative_int():
                 assert hash(x) == hash(v)
 
 
+def test_extended_nat_takes_no_bool_for_an_int():
+    # a bool is not an int here: it equals no value and orders against none
+    assert not ac.ExtendedNat(1) == True and ac.ExtendedNat(1) != True
+    assert not ac.ExtendedNat(0) == False and not ac.INFINITY == True
+    for other in (True, False):
+        with pytest.raises(TypeError):
+            ac.ExtendedNat(0) < other
+        with pytest.raises(TypeError):
+            ac.INFINITY > other
+
+
 def test_extended_nat_validation_and_immutability():
     with pytest.raises(ValueError):
         ac.ExtendedNat(-1)
@@ -459,6 +470,17 @@ def test_leftzero_and_maxchain_tables():
         ac.dihedral(0)
 
 
+def test_element_set_membership_follows_the_int_rule():
+    S = ac.ElementSet(4, 2)
+    assert 1 in S and 0 not in S
+    # a bool is never an element, as ElementSet.of refuses it
+    assert True not in S and False not in ac.ElementSet(4, 1)
+    with pytest.raises(ac.IndexOutOfRange):
+        ac.ElementSet.of(4, True)
+    for other in (1.0, "1", None, -1, 4):
+        assert other not in S
+
+
 # ---------------------------------------------------------------------------
 # Cayley text format
 # ---------------------------------------------------------------------------
@@ -469,6 +491,12 @@ def test_parse_cayley_text_round_trip():
     text = "3\n" + "\n".join(" ".join(str(v) for v in row) for row in z3.table)
     parsed = ac.parse_cayley_text(text)
     assert parsed.table == z3.table
+
+
+def test_parse_cayley_text_builds_the_trivial_carrier():
+    A = ac.parse_cayley_text("1\n0\n")
+    assert A.n == 1 and A.table == ((0,),)
+    assert A.identity == 0 and A.is_group and A.units == ac.ElementSet(1, 1)
 
 
 def test_parse_cayley_text_errors():
@@ -660,3 +688,30 @@ def test_value_types_keep_one_immutability_contract(case):
             assert copied == value and repr(copied) == repr(value)
             if case != "RunReport":  # whose dict payload leaves it unhashable
                 assert hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_value_types_have_one_json_form(case):
+    from addcomb.core import _json
+
+    value = _contract_values()[case]
+    if isinstance(value, ac.FiniteSemigroup):
+        return
+    if isinstance(value, (ac.ElementSet, ac.ExtendedNat)):
+        # a set as its literal, an extended natural by to_json(), and no dict
+        assert not hasattr(value, "to_json_dict")
+        want = str(value) if isinstance(value, ac.ElementSet) else value.to_json()
+        assert _json(value) == want
+    else:
+        out = value.to_json_dict()
+        assert _json(value) == out and list(out) == list(type(value).__slots__[: len(out)])
+
+
+def test_scalar_json_forms():
+    from addcomb.core import _json
+
+    assert _json(ac.ElementSet.of(3, 0)) == "{0}" and _json(ac.ElementSet.empty(2)) == "{}"
+    assert _json(extended(3)) == 3 and _json(ac.INFINITY) == "infinity"
+    assert _json((ac.ElementSet.of(3, 0, 2), (ac.INFINITY,))) == ["{0,2}", ["infinity"]]
+    assert str(ac.INFINITY) == "infinity" and str(extended(3)) == "3"
+    assert ac.ExtendedNat.from_json("infinity") is ac.INFINITY

@@ -173,6 +173,21 @@ def test_audit_empty_transform_rejected():
         ac.audit_transform(z8, X, Y, r)
 
 
+@pytest.mark.parametrize(
+    "tilde, prime",
+    [((0, 1, 2), (2,)), ((0,), (2,)), ((0,), (0, 1, 2))],
+    ids=["tilde-is-y", "element-in-neither", "prime-is-y"],
+)
+def test_audit_item_i_is_false_on_a_wrong_split(tilde, prime):
+    # item (i) needs every clause of the split; each of these breaks some
+    z8 = ac.cyclic(8)
+    X, Y = _s(8, 0, 1), _s(8, 0, 1, 2)
+    r = ac.apply_transform(z8, X, Y, 1, 4)
+    assert ac.audit_transform(z8, X, Y, r).item_i is True
+    wrong = ac.TransformResult(r.m, r.z, r.x_z, r.y_z, _s(8, *tilde), _s(8, *prime))
+    assert ac.audit_transform(z8, X, Y, wrong).item_i is False
+
+
 def test_identity_stays_in_y_prime_with_m1():
     # with m = 1 and the identity in Y, the identity lands in Y_prime
     for A in (ac.cyclic(8), ac.dihedral(4), ac.quaternion8()):
