@@ -6,12 +6,15 @@ ord(z + inverse(z0)), with max(empty) = 0 and min(empty) = infinity.  Each
 constant of a set S reduces a table w over the z0 in S (units, for omega)
 in its value function (_omega_value, for one), by core._reduce or the
 sweep's reduction; the public functions check their arguments and wrap it.
+Row z0 of w is its few value levels (t, the mask of the z with w[z0][z] =
+t), t descending: inner max (min) over S is the first from the top
+(bottom) that meets S.
 
-    constant                     w                           inner  outer
-    omega (z0 units)             A._omega_w: ord(z - z0)     min    max
-    delta                        _gcd_w(m): gcd(m, z - z0)   max    min
-    pillai_delta                 _gcd_w(m)                   max    max
-    span commutes (core)         A._commute_w: masks         None   and_
+    constant                 w, by its levels                inner  outer
+    omega (z0 units)         A._omega_w: ord(z - z0)         min    max
+    delta                    _gcd_w(m): gcd(m, z - z0)       max    min
+    pillai_delta             _gcd_w(m)                       max    max
+    span commutes (core)     A._commute_w: masks, no levels  None   and_
 
 A catalog entry is one statement's hypotheses and bounds, and DOMINANCE
 orders pairs of entries.  theorems._evaluate, the one scalar evaluator,
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import functools
 from math import gcd, isqrt
-from operator import itemgetter
 
 from .core import (
     INF, ElementSet, ExtendedNat, FiniteSemigroup, _commutes, _is_int, _Record, _reduce, cyclic,
@@ -39,9 +41,11 @@ def _omega_value(A: FiniteSemigroup, S, reduce=_reduce):
 
 
 @functools.lru_cache(maxsize=None)
-def _gcd_w(m: int) -> tuple[tuple[int, ...], ...]:
-    """gcd(m, z - z0) at [z0][z], 1 on the diagonal, which max ignores."""
-    return tuple(tuple(1 if z == z0 else gcd(m, z - z0) for z in range(m)) for z0 in range(m))
+def _gcd_w(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The levels of gcd(m, z - z0), 1 on the diagonal: row 0 rotated by z0."""
+    g = [gcd(m, k) if k else 1 for k in range(m)]
+    row0 = [(d, sum(1 << k for k in range(m) if g[k] == d)) for d in sorted(set(g), reverse=True)]
+    return tuple(tuple((d, (r << z0 | r >> m - z0) % (1 << m)) for d, r in row0) for z0 in range(m))
 
 
 def _delta_value(m: int, S, reduce=_reduce):
@@ -69,9 +73,7 @@ def omega(A: FiniteSemigroup, Z: ElementSet) -> OmegaBreakdown:
     """Full breakdown of omega(Z); overall 0 when Z contains no unit."""
     A.check_set(Z)
     units = iter_bits(Z.mask & A.units.mask)
-    # the rows of _omega_value; repeating an element keeps get's result a tuple
-    get = units and itemgetter(*iter_bits(Z.mask), units[0])
-    inners = [min(get(A._omega_w[z0])) for z0 in units]
+    inners = _reduce(A._omega_w, min, None, Z.mask, A.units.mask)
     rows = tuple(zip(units, map(extended, inners)))
     return OmegaBreakdown(rows, extended(max(inners, default=0)))
 
@@ -244,18 +246,17 @@ DOMINANCE = {
 }
 
 
-def _check_carrier(A: FiniteSemigroup, statements, *sets: ElementSet) -> None:
-    """Raise NotGroup on a carrier that one of the statements is not about:
-    residue statements before the sets are checked, group statements after."""
-    for statement in statements:
-        if CATALOG[statement].needs_cyclic and not A._standard_cyclic:
-            raise NotGroup(
-                "statement %s is about residues; the carrier must be cyclic:m "
-                "with the standard table" % statement
-            )
+def _check_carrier(A: FiniteSemigroup, residue, needs_group: bool, *sets: ElementSet) -> None:
+    """Raise NotGroup on a carrier that a statement is not about: residue, a
+    statement or a false value, before the sets are checked, needs_group after."""
+    if residue and not A._standard_cyclic:
+        raise NotGroup(
+            "statement %s is about residues; the carrier must be cyclic:m "
+            "with the standard table" % residue
+        )
     for S in sets:
         A.check_set(S)
-    if not A.is_group and any(CATALOG[s].needs_group for s in statements):
+    if needs_group and not A.is_group:
         raise NotGroup("the p-constant bound is stated for groups")
 
 
@@ -265,8 +266,8 @@ _STATEMENT_IDS.update(cd1813="CD-1813", cd="CD-1813", kemperman="Kemperman-weak"
 
 def normalize_statement(text: str) -> str:
     """Map a user-supplied statement token to its canonical catalog id."""
-    statement = _STATEMENT_IDS.get(text.strip().lower().replace("_", "-"))
-    if statement is None:
+    statement = isinstance(text, str) and _STATEMENT_IDS.get(text.strip().lower().replace("_", "-"))
+    if not statement:
         raise ParseError(
             "unknown statement %r (choose from %s)"
             % (text, ", ".join(s.lower() for s in STATEMENTS))

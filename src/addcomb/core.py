@@ -15,8 +15,9 @@ scalar paths read instead of recomputing them on every call:
 
 - ``_bit_table[a][b]``: the bit mask of a + b;
 - ``_orders[z]``: the order |{z, z+z, ...}| of z;
-- ``_omega_w[z0][z]``: ord(z + inverse(z0)) for a unit z0, with INF on the
-  diagonal, and 0 throughout the row of a non-unit z0;
+- ``_omega_w[z0]``: for a unit z0, the levels of ord(z + inverse(z0)),
+  with INF on the diagonal: the pairs (t, the mask of the z where it is t),
+  t descending; the row of a non-unit z0 is the one level (0, every z);
 - ``_commute_w[a]``: the mask of the b with a + b = b + a;
 - ``_preimage[y][z]``: the mask of the w with w + y = z, which may have
   several bits on a non-cancellative carrier;
@@ -44,7 +45,7 @@ in the same way but pickles by its table and label.
 from __future__ import annotations
 
 import functools
-from operator import and_, itemgetter
+from operator import and_
 
 from .errors import (
     CarrierTooLarge,
@@ -193,7 +194,7 @@ class ExtendedNat(_Record):
     def from_json(cls, obj) -> "ExtendedNat":
         if obj == INFINITY.to_json():
             return INFINITY
-        if _is_int(obj):
+        if _is_int(obj) and obj >= 0:
             return cls(obj)
         raise ParseError("not an extended natural: %r" % (obj,))
 
@@ -225,19 +226,21 @@ def _json(value):
 
 def _reduce(w, inner, outer, mask: int, rows: int = -1) -> int:
     """outer over the z0 of rows in S of (inner over z in S of w[z0][z]),
-    for the set S of mask.  A singleton gets the diagonal, which inner must
-    otherwise ignore, and no z0 gives 0 under max and INF under min.  With
+    for the set S of mask: inner max (min) is the t of the first level of
+    w[z0] from the top (bottom) that meets S.  A singleton gets the
+    diagonal, which inner must otherwise ignore; outer None gives the list
+    of inner values, and no z0 gives 0 under max and INF under min.  With
     inner None, whether S lies in the outer (and_, from -1) of masks w[z0]."""
-    zs = iter_bits(mask)
-    z0s = zs if mask & rows == mask else iter_bits(mask & rows)
+    z0s = iter_bits(mask & rows)
     if inner is None:
         return functools.reduce(outer, map(w.__getitem__, z0s), -1) & mask == mask
-    if not z0s:
-        return 0 if outer is max else INF
-    if len(zs) == 1:
-        return w[zs[0]][zs[0]]
-    get = itemgetter(*zs)
-    return outer(map(inner, map(get, get(w) if z0s is zs else map(w.__getitem__, z0s))))
+    order, values = iter if inner is max else reversed, []
+    for z0 in z0s:
+        for t, level in order(w[z0]):
+            if level & mask:
+                break
+        values.append(t)
+    return values if outer is None else outer(values or [0 if outer is max else INF])
 
 
 def _commutes(A: FiniteSemigroup, S, reduce=_reduce):
@@ -470,12 +473,16 @@ class FiniteSemigroup:
                 seen |= 1 << cur
             orders.append(seen.bit_count())
         object.__setattr__(self, "_orders", tuple(orders))
-        omega_w = [[0] * n for _ in range(n)]
-        for z0, inv in enumerate(inverse):
-            if inv is not None:
-                omega_w[z0] = [orders[row[inv]] for row in table]
-                omega_w[z0][z0] = INF
-        object.__setattr__(self, "_omega_w", tuple(map(tuple, omega_w)))
+        # z + inverse(z0) = e exactly when z = e + z0: unit z0's level t sums
+        # the bits of e + z0 over the e of order t, the identity's as INF
+        by_order = {}
+        for e, t in enumerate(orders):
+            by_order.setdefault(INF if e == identity else t, []).append(self._bit_table[e])
+        ts = sorted(by_order, reverse=True)
+        masks = zip(*[map(sum, zip(*by_order[t])) for t in ts])  # per z0, by t
+        object.__setattr__(self, "_omega_w", tuple(
+            tuple(zip(ts, row)) if inv is not None else ((0, (1 << n) - 1),)
+            for inv, row in zip(inverse, masks)))
         preimage = [[0] * n for _ in range(n)]
         for w, row in enumerate(table):
             for y, z in enumerate(row):

@@ -201,21 +201,17 @@ class _SweepContext:
         """core._reduce on every column at once, for S a _Masks.  With inner
         None, the column set of the Y that lie in w[z0] for each z0 of rows
         in Y.  Otherwise _Values, from the nested column sets "value >= t"
-        for each t that w takes over rows, descending: inner min (max) is at
-        least t on the Y inside (meeting) {z : w[z0][z] >= t}, and outer max
-        (min) on the OR (AND) over the z0 of rows of those holding z0 (of
-        those and the ones without z0).  No z0 gives 0 under max and INF
-        under min, as in core._reduce."""
+        for each t of the rows' levels, descending: inner min (max) is at
+        least t on the Y inside (meeting) the union of z0's levels down to
+        t, and outer max (min) on the OR (AND) over the z0 of rows of those
+        holding z0 (of those and the ones without z0).  No z0 gives 0 under
+        max and INF under min, as in core._reduce."""
         ALL, holding = self.all, self.holding
         z0s = iter_bits(rows & (1 << self.n) - 1)
         if inner is None:
             inside = [ALL ^ self.meets(~w[z0]) | ALL ^ holding[z0] for z0 in z0s]
             return functools.reduce(and_, inside, ALL)
-        # per z0, the mask of the z where w[z0][z] takes each value
-        where = [{} for _ in z0s]
-        for z0, values in zip(z0s, where):
-            for z, t in enumerate(w[z0]):
-                values[t] = values.get(t, 0) | 1 << z
+        where = [dict(w[z0]) for z0 in z0s]  # per z0, the mask of each value
         masks = [0] * len(z0s)  # {z : w[z0][z] >= t}, growing as t falls
         parts, above = [], 0
         for t in sorted(set().union(*where) | {INF}, reverse=True):
@@ -437,7 +433,8 @@ def sweep(
     """
     started = time.monotonic()
     statement = normalize_statement(statement)
-    _check_carrier(A, (statement,))
+    entry = CATALOG[statement]
+    _check_carrier(A, entry.needs_cyclic and statement, entry.needs_group)
     if max_size is not None and (not _is_int(max_size) or max_size < 1):
         raise ValueError("max_size must be >= 1")
     if not _is_int(jobs):

@@ -21,6 +21,8 @@ its columns.
 
 from __future__ import annotations
 
+import functools
+
 from .catalog import (
     _BOUNDS, _TESTS, CATALOG, DOMINANCE, HYPOTHESES, STATEMENTS, _check_carrier, _cyclic_cached,
     _Statement, normalize_statement,
@@ -42,26 +44,38 @@ class BoundReport(_Record):
         return tuple(name for name, holds in self.hypotheses if not holds)
 
 
+@functools.cache
+def _plan(statements: tuple, partners: tuple):
+    """What _evaluate reads of the catalog, once per tuple pair: per entry its name, its
+    (hypothesis, side, test) triples, bounds u, v and whether it is a partner; the
+    first residue statement or None, whether one needs a group, the DOMINANCE pairs."""
+    names = statements + partners
+    entries = tuple(
+        (s, tuple((h, HYPOTHESES[h][0], _TESTS[HYPOTHESES[h][1]]) for h in CATALOG[s].hypotheses),
+         _BOUNDS[CATALOG[s].u], _BOUNDS[CATALOG[s].v], s in partners) for s in names)
+    residue = next((s for s in names if CATALOG[s].needs_cyclic), None)
+    dominance = tuple((weaker, sharper, text) for (weaker, sharper), (_, text) in DOMINANCE.items()
+                      if weaker in names and sharper in names)
+    return entries, residue, any(CATALOG[s].needs_group for s in names), dominance
+
+
 def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str, partners=()):
     """The reports of the catalog statements on (X, Y), in order, then the
     report of each of the partners if it applies, else None (its right side,
     which only DOMINANCE reads then, is not computed); the carrier and the
     sets are checked, and |X + Y| computed, once.  Raises TheoremViolated
     when two statements that apply break a DOMINANCE pair."""
-    statements += partners
-    _check_carrier(A, statements, X, Y)
+    entries, residue, needs_group, dominance = _plan(statements, partners)
+    _check_carrier(A, residue, needs_group, X, Y)
     x, y = X.mask, Y.mask
     if x == 0 or y == 0:
         raise EmptySet("bound verifiers need non-empty X and Y")
     lhs = _sumset_mask(A, x, y).bit_count()
     size = x.bit_count() + y.bit_count() - 1
     reports, rhs_of = [], {}
-    for statement in statements:
-        entry = CATALOG[statement]
+    for statement, tests, u, v, partner in entries:
         hyps, applicable = [], True
-        for name in entry.hypotheses:
-            side, key, _ = HYPOTHESES[name]
-            test = _TESTS[key]
+        for name, side, test in tests:
             if side == "carrier":
                 holds = test(A)
             elif side == "x":
@@ -74,16 +88,16 @@ def _evaluate(A: FiniteSemigroup, X: ElementSet, Y: ElementSet, *statements: str
                 holds = test(A, size)
             hyps.append((name, holds))
             applicable = applicable and holds
-        if statement in partners and not applicable:
+        if partner and not applicable:
             reports.append(None)
             continue
-        rhs = min(max(_BOUNDS[entry.u](A, x, _reduce), _BOUNDS[entry.v](A, y, _reduce)), size)
+        rhs = min(max(u(A, x, _reduce), v(A, y, _reduce)), size)
         if applicable:
             rhs_of[statement] = rhs
         reports.append(BoundReport(statement, tuple(hyps), lhs, extended(rhs), applicable,
                                    lhs >= rhs if applicable else None))
     if len(rhs_of) > 1:  # the right sides of the statements that apply
-        for (weaker, sharper), (_, text) in DOMINANCE.items():
+        for weaker, sharper, text in dominance:
             if weaker in rhs_of and sharper in rhs_of and rhs_of[sharper] < rhs_of[weaker]:
                 raise TheoremViolated(text.format(sharper=rhs_of[sharper], weaker=rhs_of[weaker]))
     return reports

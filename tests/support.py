@@ -34,6 +34,23 @@ def closure_oracle(A: FiniteSemigroup, seed) -> set:
         out = grown
 
 
+def level_row(levels, n: int) -> list:
+    """The row w[z0][0..n-1] that a level table row describes, checking its
+    form: pairs (t, mask), t strictly descending, masks non-empty, disjoint
+    and covering [0, n)."""
+    ts = [t for t, _ in levels]
+    assert ts == sorted(set(ts), reverse=True), ts
+    row = [None] * n
+    for t, mask in levels:
+        assert 0 < mask < 1 << n, (t, mask)
+        for z in range(n):
+            if mask >> z & 1:
+                assert row[z] is None, (t, z)
+                row[z] = t
+    assert None not in row, row
+    return row
+
+
 def order_oracle(A: FiniteSemigroup, z: int) -> int:
     powers = {z}
     cur = z

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 import addcomb as ac
-from support import iter_nonempty_masks, omega_oracle
+from addcomb.catalog import _gcd_w
+from addcomb.core import INF, _reduce
+from support import iter_nonempty_masks, level_row, omega_oracle
 
 
 def _s(n, *els):
@@ -54,6 +57,20 @@ def test_omega_matches_oracle_exhaustively():
                 assert got == ac.INFINITY
             else:
                 assert got == ac.ExtendedNat(want)
+
+
+@pytest.mark.parametrize(
+    "A", [ac.cyclic(40), ac.cyclic(64), ac.product(ac.dihedral(4), ac.maxchain(3))],
+    ids=lambda A: A.label,
+)
+def test_omega_matches_oracle_on_sampled_sets(A):
+    # carriers over 16 elements, the product with units and non-units
+    for mask in _sampled_masks(A.n, 200, A.n):
+        Z = ac.ElementSet(A.n, mask)
+        want = omega_oracle(A, Z.elements())
+        want = ac.INFINITY if want is None else ac.ExtendedNat(want)
+        assert ac.omega(A, Z).overall == want
+        assert ac.omega_pair(A, Z, Z) == want
 
 
 def test_omega_overall_attained_by_a_row_on_groups():
@@ -106,22 +123,49 @@ def test_delta_errors():
         ac.delta(5, _s(6, 0, 1))  # carrier/modulus mismatch
 
 
+def _sampled_masks(n, count, seed):
+    """count seeded masks over [0, n), from singletons to the full set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.choice((1, 2, 3, 4, 6, n // 2, n))
+        yield sum(1 << z for z in rng.sample(range(n), size))
+
+
 def test_delta_brute_force_agreement():
-    for m in (6, 10, 12):
-        for mask in iter_nonempty_masks(m):
-            Z = ac.ElementSet(m, mask)
-            zs = Z.elements()
-            if len(zs) >= 2:
-                want_min = min(
-                    max(math.gcd(m, (z - z0) % m) for z in zs if z != z0) for z0 in zs
-                )
-                want_max = max(
-                    math.gcd(m, (z - z0) % m) for z0 in zs for z in zs if z != z0
-                )
-            else:
-                want_min = want_max = 1
-            assert ac.delta(m, Z) == want_min
-            assert ac.pillai_delta(m, Z) == want_max
+    # every mask at m = 6, 10, 12; seeded samples at 16, and at 40 and 64,
+    # whose masks take iter_bits' loop above 16 bits and whose moduli have
+    # 8 and 7 divisors
+    masks = [(m, mask) for m in (6, 10, 12) for mask in iter_nonempty_masks(m)]
+    masks += [(m, mask) for m in (16, 40, 64) for mask in _sampled_masks(m, 300, m)]
+    for m, mask in masks:
+        Z = ac.ElementSet(m, mask)
+        zs = Z.elements()
+        if len(zs) >= 2:
+            want_min = min(
+                max(math.gcd(m, (z - z0) % m) for z in zs if z != z0) for z0 in zs
+            )
+            want_max = max(
+                math.gcd(m, (z - z0) % m) for z0 in zs for z in zs if z != z0
+            )
+        else:
+            want_min = want_max = 1
+        assert ac.delta(m, Z) == want_min
+        assert ac.pillai_delta(m, Z) == want_max
+
+
+def test_reduce_over_no_row_gives_the_empty_outer():
+    # max(empty) = 0 and min(empty) = infinity, as omega's definition reads
+    assert _reduce(_gcd_w(6), max, max, 0) == 0
+    assert _reduce(_gcd_w(6), max, min, 0) == INF
+    assert _reduce(ac.cyclic(6)._omega_w, min, max, 0b110, rows=0) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 40, 60, 64])
+def test_gcd_levels_match_the_definition(m):
+    # every entry of each row of the level table, 1 on the diagonal
+    for z0, levels in enumerate(_gcd_w(m)):
+        want = [1 if z == z0 else math.gcd(m, z - z0) for z in range(m)]
+        assert level_row(levels, m) == want
 
 
 # ---------------------------------------------------------------------------

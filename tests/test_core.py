@@ -159,12 +159,27 @@ _REFUSALS = {
     "from-json-float": (lambda: ac.ExtendedNat.from_json(1.5), ac.ParseError),
     "from-json-bool": (lambda: ac.ExtendedNat.from_json(True), ac.ParseError),
     "from-json-none": (lambda: ac.ExtendedNat.from_json(None), ac.ParseError),
+    "from-json-negative": (lambda: ac.ExtendedNat.from_json(-1), ac.ParseError),
     "extended-eq-str": (lambda: ac.ExtendedNat(3) == "3", False),
     "extended-lt-str": (lambda: ac.ExtendedNat(3) < "3", TypeError),
     "set-or-int": (lambda: ac.ElementSet.of(3, 0) | 3, TypeError),
     "maxchain-0": (lambda: ac.maxchain(0), ac.ValidationError),
     "delta-modulus-0": (lambda: ac.delta(0, ac.ElementSet.of(3, 0)), ac.PreconditionFailed),
 }
+
+
+# a statement that is not a str is unknown to each call that takes one
+for _kind, _statement in (("none", None), ("int", 3), ("list", ["Thm2.2"]), ("bytes", b"thm2.2")):
+    _REFUSALS.update({
+        "normalize-%s" % _kind: (lambda s=_statement: ac.normalize_statement(s), ac.ParseError),
+        "run-statement-%s" % _kind: (
+            lambda s=_statement: ac.run_statement(ac.cyclic(3), s, *[ac.ElementSet.of(3, 0)] * 2),
+            ac.ParseError,
+        ),
+        "sweep-statement-%s" % _kind: (
+            lambda s=_statement: ac.sweep(ac.cyclic(3), s), ac.ParseError
+        ),
+    })
 
 
 @pytest.mark.parametrize("call, outcome", _REFUSALS.values(), ids=_REFUSALS)

@@ -25,6 +25,7 @@ from addcomb.core import INF
 from addcomb.theorems import is_standard_cyclic, statement_info
 from support import (
     closure_oracle,
+    level_row,
     omega_oracle,
     order_oracle,
     set_fact_columns,
@@ -128,13 +129,14 @@ def test_carrier_tables_match_definitions(A):
             want = {w for w in range(n) if t[w][y] == z}
             assert set(ac.ElementSet(n, A._preimage[y][z])) == want
     for z0 in range(n):
+        # every entry of the level table against the definition
         inv = A.inverse(z0)
         if inv is None:
-            assert A._omega_w[z0] == (0,) * n
+            assert A._omega_w[z0] == ((0, (1 << n) - 1),)
         else:
             want = [order_oracle(A, t[z][inv]) for z in range(n)]
             want[z0] = INF
-            assert A._omega_w[z0] == tuple(want)
+            assert level_row(A._omega_w[z0], n) == want
         assert A._commute_w[z0] == sum(1 << z for z in range(n) if t[z0][z] == t[z][z0])
     # p over the unitization, by its definition
     U = ac.unitization(A)
